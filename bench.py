@@ -176,8 +176,7 @@ def run_bench() -> dict:
         else:
             manifest = index_pages(
                 pages, index_path,
-                n_buckets=32, n_hparts=8,
-                concurrency=None, batch_size=1024,
+                n_buckets=32, n_hparts=8, batch_size=1024,
             )
         build_times.append(round(time.perf_counter() - t0, 3))
         t_index = min(t_index, build_times[-1])

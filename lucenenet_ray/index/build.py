@@ -4,20 +4,23 @@ Pipeline (SURVEY §2.4, §3.1 — the Ray-native analog of Lucene's
 DocumentsWriterPerThread → flush → SegmentMerger path):
 
     docs(id,text)
-      → map_batches(Inverter, concurrency=K)        # the DWPT analog
+      → map_batches(invert_batch_fn)               # the DWPT analog
             emits partial postings rows (term, bucket, hpart, docs[], freqs[],
             norms[], pos_bytes) — one row per (term, input-batch), plus one
             doc-length row per bucket (term="" sentinel) carrying
             (doc_id, field_len) used for norms + collection stats
-      → groupby(bucket, hpart).map_groups(merge)    # the SegmentMerger analog:
-            a salted term shuffle — hpart = hash(term) % H bounds reducer
+      → hash exchange on (bucket, hpart)           # the SegmentMerger analog:
+            a salted term shuffle — hpart = term_hpart(term) bounds reducer
             input; a Zipf head term is additionally split across doc-range
             buckets, so NO single reducer ever sees more than one bucket's
             share of one hash-slice (explicit skew design, SURVEY §4)
-      → groupby(bucket).map_groups(BucketWriter)    # final index layout:
-            per-bucket postings parquet sorted by term (term dictionary =
-            sorted row groups, SURVEY §2.5), norms parquet, manifest row
+      → _merge_write_group per (bucket, hpart)     # final index layout:
+            postings/bucket=NNNNN_hHH.parquet sorted by term (term dictionary
+            = sorted row groups, SURVEY §2.5), norms/bucket=NNNNN.parquet
       → termstats + manifest.json
+
+``merge_indexes`` (AddIndexes) feeds already-built indexes through the same
+exchange and reducer, so a sharded build writes the direct build's bytes.
 
 DocIDs are caller-provided int64s (deterministic — unlike Lucene's
 thread-timing-dependent docIDs, SURVEY §4 "ordering/determinism"); buckets are
@@ -28,6 +31,7 @@ corpus produces identical bytes at any parallelism level (tested).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
@@ -71,7 +75,6 @@ class IndexConfig:
     # SingleToByte315(boost / sqrt(len)). None = boost 1.0 (byte-identical
     # to an unboosted build).
     boost_col: str | None = None
-    concurrency: int | None = None  # inverter actor pool size; None = tasks
     k1: float = 1.2
     b: float = 0.75
     # postings codec: "for" = bit-packed 128-blocks + freq-parity VInt tail
@@ -106,16 +109,19 @@ class IndexConfig:
         return ((doc_ids - self.id_min) // width).astype(np.int32)
 
 
-def _term_hpart(terms: np.ndarray, n_hparts: int) -> np.ndarray:
-    """Deterministic term → hash-slice (salt) assignment. Uses a simple FNV-1a
-    over UTF-8 bytes (stable across processes, unlike Python's hash())."""
-    out = np.empty(len(terms), dtype=np.int32)
-    for i, t in enumerate(terms):
-        h = np.uint64(0xCBF29CE484222325)
-        for b in t.encode("utf-8"):
-            h = np.uint64((int(h) ^ b) * 0x100000001B3 & 0xFFFFFFFFFFFFFFFF)
-        out[i] = int(h) % n_hparts
-    return out
+@functools.lru_cache(maxsize=1 << 20)
+def term_hpart(term: str, n_hparts: int) -> int:
+    """Deterministic term → hash-slice (salt) assignment: FNV-1a over the
+    UTF-8 bytes (stable across processes, unlike Python's hash())."""
+    h = 0xCBF29CE484222325
+    for b in term.encode("utf-8"):
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h % n_hparts
+
+
+def postings_file_name(bucket: int, hpart: int) -> str:
+    """Postings file of one (bucket, hpart) reducer group."""
+    return f"bucket={bucket:05d}_h{hpart:02d}.parquet"
 
 
 class Inverter:
@@ -123,9 +129,9 @@ class Inverter:
 
     The analyzer (compiled token DFA + stop set) is built once per worker,
     mirroring Lucene's per-thread Analyzer reuse (``Analyzer.cs``
-    ReuseStrategy; SURVEY §2.3). Usable as an actor-pool class OR, via
-    ``invert_batch_fn``, as plain tasks on the shared worker pool (no actor
-    startup latency; the analyzer is a module-level per-process singleton).
+    ReuseStrategy; SURVEY §2.3). Runs via ``invert_batch_fn`` as plain
+    tasks on the shared worker pool (no actor startup latency; the inverter
+    is a module-level per-process singleton).
     """
 
     def __init__(self, cfg: IndexConfig, text_col: str = "text", id_col: str = "doc_id"):
@@ -143,18 +149,6 @@ class Inverter:
             raise ValueError(
                 "payloads need store_positions and the standard analyzer "
                 "(per-language chains don't report offsets)")
-        self._hpart_cache: dict[str, int] = {}
-
-    def _hpart(self, term: str) -> int:
-        v = self._hpart_cache.get(term)
-        if v is None:
-            h = 0xCBF29CE484222325
-            for b in term.encode("utf-8"):
-                h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-            v = h % self.cfg.n_hparts
-            if len(self._hpart_cache) < 1_000_000:
-                self._hpart_cache[term] = v
-        return v
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids = batch.column(self.id_col).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -332,9 +326,9 @@ class Inverter:
             row_codes = pair_term[row_starts]
             out_term_arr = darr.dictionary.take(pa.array(row_codes))
             out_bucket_arr = pair_bucket[row_starts].astype(np.int64)
-            hp = self._hpart
+            n_hparts = self.cfg.n_hparts
             uniq_hparts = np.fromiter(
-                (hp(t) for t in uniq_terms), dtype=np.int64,
+                (term_hpart(t, n_hparts) for t in uniq_terms), dtype=np.int64,
                 count=len(uniq_terms))
             out_hpart_arr = uniq_hparts[row_codes]
             if store_pos:
@@ -387,47 +381,53 @@ class Inverter:
         freqs_vals = np.concatenate((freqs_vals, doc_lens.astype(np.int64)))
         norms_vals = np.concatenate((norms_vals, norms_all))
 
-        # Shuffle wire format: docs RAW little-endian int64 (docIDs are
-        # md5-random 60-bit values — their deltas average ~7 VInt bytes, so
-        # VInt bought ~nothing while costing a 7-pass encode here and a
-        # 7-pass decode in every reducer; raw int64 is one memcpy each way),
-        # freqs VInt (mostly 1 byte), norms raw uint8. Transient format only
-        # — the on-disk index keeps Lucene-style delta+VInt (codec.py).
-        bounds = np.concatenate(([0], np.cumsum(all_lens)))
-        doc_b = docs_vals.astype("<i8").tobytes()
-        doc_rows = [doc_b[bounds[i] * 8 : bounds[i + 1] * 8]
-                    for i in range(len(all_lens))]
-        freq_stream = write_vints(freqs_vals.astype(np.uint64))
-        freq_rows = _split_vint_stream(freq_stream, all_lens)
-        norm_b = norms_vals.tobytes()
-        norm_rows = [
-            norm_b[bounds[i] : bounds[i + 1]] for i in range(len(all_lens))
-        ]
+        return wire_table(
+            pa.concat_arrays([out_term_arr.cast(pa.string()),
+                              pa.array(dl_term, type=pa.string())]),
+            np.concatenate((out_bucket_arr,
+                            np.asarray(dl_bucket, dtype=np.int64))),
+            np.concatenate((out_hpart_arr,
+                            np.zeros(len(dl_term), dtype=np.int64))),
+            all_lens, docs_vals, freqs_vals, norms_vals,
+            out_pos + [b""] * len(dl_term),
+            out_pay + [b""] * len(dl_term) if want_pay else None)
 
-        cols = {
-            "term": pa.concat_arrays(
-                [out_term_arr.cast(pa.string()),
-                 pa.array(dl_term, type=pa.string())]),
-            "bucket": pa.array(
-                np.concatenate((out_bucket_arr,
-                                np.asarray(dl_bucket, dtype=np.int64))),
-                type=pa.int32()),
-            "hpart": pa.array(
-                np.concatenate((out_hpart_arr,
-                                np.zeros(len(dl_term), dtype=np.int64))),
-                type=pa.int32()),
-            "n": pa.array(all_lens, type=pa.int32()),
-            "doc_bytes": pa.array(doc_rows, type=pa.large_binary()),
-            "freq_bytes": pa.array(freq_rows, type=pa.large_binary()),
-            "norm_bytes": pa.array(norm_rows, type=pa.large_binary()),
-            "pos_bytes": pa.array(
-                out_pos + [b""] * len(dl_term), type=pa.large_binary()
-            ),
-        }
-        if want_pay:
-            cols["pay_bytes"] = pa.array(
-                out_pay + [b""] * len(dl_term), type=pa.large_binary())
-        return pa.table(cols)
+
+def wire_table(terms: pa.Array, buckets: np.ndarray, hparts: np.ndarray,
+               lens: np.ndarray, docs: np.ndarray, freqs: np.ndarray,
+               norms: np.ndarray, pos_rows: list[bytes],
+               pay_rows: list[bytes] | None) -> pa.Table:
+    """Assemble shuffle-wire rows: row i holds the ``lens[i]`` postings
+    that follow row i-1's in ``docs``/``freqs``/``norms``, with its own
+    position (and payload) run bytes.
+
+    Wire format: docs RAW little-endian int64 (docIDs are md5-random 60-bit
+    values — their deltas average ~7 VInt bytes, so VInt bought ~nothing
+    while costing a 7-pass encode here and a 7-pass decode in every reducer;
+    raw int64 is one memcpy each way), freqs VInt (mostly 1 byte), norms raw
+    uint8. Transient format only — the on-disk index keeps Lucene-style
+    delta+VInt (codec.py)."""
+    bounds = np.concatenate(([0], np.cumsum(lens)))
+    doc_b = np.asarray(docs).astype("<i8").tobytes()
+    doc_rows = [doc_b[bounds[i] * 8 : bounds[i + 1] * 8]
+                for i in range(len(lens))]
+    freq_rows = _split_vint_stream(
+        write_vints(np.asarray(freqs).astype(np.uint64)), lens)
+    norm_b = np.asarray(norms, dtype=np.uint8).tobytes()
+    norm_rows = [norm_b[bounds[i] : bounds[i + 1]] for i in range(len(lens))]
+    cols = {
+        "term": terms,
+        "bucket": pa.array(buckets, type=pa.int32()),
+        "hpart": pa.array(hparts, type=pa.int32()),
+        "n": pa.array(lens, type=pa.int32()),
+        "doc_bytes": pa.array(doc_rows, type=pa.large_binary()),
+        "freq_bytes": pa.array(freq_rows, type=pa.large_binary()),
+        "norm_bytes": pa.array(norm_rows, type=pa.large_binary()),
+        "pos_bytes": pa.array(pos_rows, type=pa.large_binary()),
+    }
+    if pay_rows is not None:
+        cols["pay_bytes"] = pa.array(pay_rows, type=pa.large_binary())
+    return pa.table(cols)
 
 
 def _split_vint_stream(stream: np.ndarray, counts: np.ndarray) -> list[bytes]:
@@ -755,18 +755,6 @@ def _merge_group(group: pa.Table, store_positions: bool,
     )
 
 
-def _doclen_norms(row: pa.Table, nd: int, doc_lens: np.ndarray) -> np.ndarray:
-    """Per-doc norm bytes for the merged doclen sentinel row: the carried
-    inverter-encoded bytes when present (they embed any index-time boost,
-    FieldInvertState.Boost), else re-derived from doc lengths (older
-    partials / shard-merge paths where boost is always 1)."""
-    if "doclen_norm_bytes" in row.column_names:
-        nb = row.column("doclen_norm_bytes")[0].as_py()
-        if nb is not None and len(nb) == nd:
-            return np.frombuffer(nb, dtype=np.uint8)
-    return encode_norm(doc_lens)
-
-
 def _merge_write_group(group: pa.Table, store_positions: bool,
                        index_path: str, codec: str = "vint") -> pa.Table:
     """Fused reducer: merge one (bucket, hpart) group's chunks, then write
@@ -795,7 +783,10 @@ def _merge_write_group(group: pa.Table, store_positions: bool,
         doc_ids = decode_docs(db, nd, codec=codec)
         doc_lens = decode_freqs(row.column("freq_bytes")[0].as_py(), nd,
                                 codec=codec, doc_bytes=db)
-        norms = _doclen_norms(row, nd, doc_lens)
+        # the inverter-encoded norm bytes carried through the merge (they
+        # embed any index-time boost, FieldInvertState.Boost)
+        norms = np.frombuffer(row.column("doclen_norm_bytes")[0].as_py(),
+                              dtype=np.uint8)
         n_docs = nd
         sum_len = int(doc_lens.sum())
         norm_table = pa.table(
@@ -812,12 +803,11 @@ def _merge_write_group(group: pa.Table, store_positions: bool,
     if postings.num_rows:
         # rows are already term-sorted by _merge_group; the sentinel-only
         # norm-bytes column never reaches disk (on-disk bytes unchanged)
-        if "doclen_norm_bytes" in postings.column_names:
-            postings = postings.drop_columns(["doclen_norm_bytes"])
+        postings = postings.drop_columns(["doclen_norm_bytes"])
         _atomic_write_parquet(
             postings,
             os.path.join(index_path, "postings",
-                         f"bucket={bucket:05d}_h{hpart:02d}.parquet"),
+                         postings_file_name(bucket, hpart)),
             row_group_size=2048,
         )
 
@@ -825,74 +815,6 @@ def _merge_write_group(group: pa.Table, store_positions: bool,
         {
             "bucket": pa.array([bucket], type=pa.int32()),
             "hpart": pa.array([hpart], type=pa.int32()),
-            "n_docs": pa.array([n_docs], type=pa.int64()),
-            "sum_len": pa.array([sum_len], type=pa.int64()),
-            "n_terms": pa.array([postings.num_rows], type=pa.int64()),
-        }
-    )
-
-
-def _write_bucket(group: pa.Table, index_path: str,
-                  codec: str = "vint") -> pa.Table:
-    """Write one bucket's merged index files (atomically: temp + rename —
-    idempotent under Ray task retries, SURVEY §4 'stragglers/retries').
-
-    Produces ``postings/bucket=NNNNN.parquet`` (rows sorted by term — the
-    sorted-term row groups ARE the term dictionary, cf. BlockTree .tim blocks
-    ``Codecs/BlockTreeTermsWriter.cs:146-168``) and
-    ``norms/bucket=NNNNN.parquet`` (doc_id asc, doc_len, norm byte).
-    Returns the bucket manifest row.
-    """
-    from lucenenet_ray.index.codec import decode_docs, decode_freqs
-
-    bucket = int(group.column("bucket")[0].as_py())
-    order = pc.sort_indices(group.column("term"))
-    group = group.take(order)
-
-    terms = group.column("term")
-    is_doclen = pc.equal(terms, DOCLEN_TERM)
-    doclen_rows = group.filter(is_doclen)
-    postings = group.filter(pc.invert(is_doclen))
-
-    n_docs = 0
-    sum_len = 0
-    os.makedirs(os.path.join(index_path, "postings"), exist_ok=True)
-    os.makedirs(os.path.join(index_path, "norms"), exist_ok=True)
-
-    if doclen_rows.num_rows:
-        # there is exactly one merged doclen row per bucket (hpart 0)
-        row = doclen_rows.slice(0, 1)
-        nd = int(row.column("df")[0].as_py())
-        db = row.column("doc_bytes")[0].as_py()
-        doc_ids = decode_docs(db, nd, codec=codec)
-        doc_lens = decode_freqs(row.column("freq_bytes")[0].as_py(), nd,
-                                codec=codec, doc_bytes=db)
-        norms = _doclen_norms(row, nd, doc_lens)
-        n_docs = nd
-        sum_len = int(doc_lens.sum())
-        norm_table = pa.table(
-            {
-                "doc_id": pa.array(doc_ids, type=pa.int64()),
-                "doc_len": pa.array(doc_lens, type=pa.int32()),
-                "norm": pa.array(norms.astype(np.int32), type=pa.int32()),
-            }
-        )
-        _atomic_write_parquet(
-            norm_table, os.path.join(index_path, "norms", f"bucket={bucket:05d}.parquet")
-        )
-
-    if postings.num_rows:
-        if "doclen_norm_bytes" in postings.column_names:
-            postings = postings.drop_columns(["doclen_norm_bytes"])
-        _atomic_write_parquet(
-            postings,
-            os.path.join(index_path, "postings", f"bucket={bucket:05d}.parquet"),
-            row_group_size=2048,
-        )
-
-    return pa.table(
-        {
-            "bucket": pa.array([bucket], type=pa.int32()),
             "n_docs": pa.array([n_docs], type=pa.int64()),
             "sum_len": pa.array([sum_len], type=pa.int64()),
             "n_terms": pa.array([postings.num_rows], type=pa.int64()),
@@ -912,23 +834,37 @@ def _atomic_write_parquet(table: pa.Table, path: str, row_group_size: int = 6553
             os.unlink(tmp)
 
 
-def _hash_shuffle_merge_write(partials, cfg: IndexConfig, store_pos: bool) -> list[dict]:
+# map-output blocks handed to one split task: bounds the object count
+# (⌈M/8⌉ × P entries; plasma creation serializes) while keeping splits
+# flowing during the map stage
+SPLIT_GROUP = 8
+# split tasks are brief memory-bound repartitions on blocks that already
+# exist; a fractional CPU lets them schedule DURING the map stage instead of
+# queueing behind map tasks (the last splits would otherwise start after the
+# map drains and sit on the critical path)
+SPLIT_CPUS = 0.5
+
+
+def _hash_shuffle_merge_write(block_refs, cfg: IndexConfig,
+                              store_pos: bool) -> list[dict]:
     """Raw-Ray map-reduce hash exchange, STREAMED against the map stage.
 
-    Map side: as the inverter produces output blocks (consumed via
-    ``iter_internal_ref_bundles`` — no materialize barrier), groups of blocks
-    are handed to split tasks that partition rows into P tables by
-    ``(bucket * n_hparts + hpart) % P`` (num_returns=P → reducers fetch only
-    their slice). The exchange's partitioning work and object creation
-    therefore overlap the map tail instead of serializing after it. Reduce
-    side: one task per partition concats its slices, groups by exact
-    (bucket, hpart), and runs the merge+write reducer per group.
+    ``block_refs`` yields object refs of shuffle-wire tables (the Inverter's
+    output schema). ``build_index`` streams the inverter's output blocks
+    (``iter_internal_ref_bundles`` — no materialize barrier);
+    ``merge_indexes`` passes the wire rows re-derived from built indexes.
+    Map side: groups of blocks are handed to split tasks that partition
+    rows into P tables by ``(bucket * n_hparts + hpart) % P`` (num_returns=P
+    → reducers fetch only their slice), so the exchange's partitioning work
+    and object creation overlap the map tail instead of serializing after
+    it. Reduce side: one task per partition concats its slices, groups by
+    exact (bucket, hpart), and runs the merge+write reducer per group.
 
     Deterministic OUTPUT despite nondeterministic stream order: partition
     assignment is a pure key function, and ``_merge_group`` canonicalizes
     each term's postings by (term, docID) sort — docIDs are globally unique,
     so merged bytes are independent of block arrival order (tested: identical
-    digests at 8 vs 32 CPUs).
+    digests at 8 vs 32 CPUs, and sharded vs direct builds).
 
     REDUCER-SIZING RULE (the 100×-scale contract, tested in
     tests/test_index_search.py::test_reducer_bytes_bounded_under_skew):
@@ -937,19 +873,19 @@ def _hash_shuffle_merge_write(partials, cfg: IndexConfig, store_pos: bool) -> li
     the worst skew an inverted index can produce — spreads its postings
     uniformly over ALL buckets: max group bytes ≤ corpus_postings_bytes /
     (n_buckets × n_hparts) + one term-chunk. To run at 100× the corpus,
-    raise ``n_buckets`` (and/or ``n_hparts``) proportionally and lift the
-    reduce-task cap (GRAFT_REDUCE_PARTS, default 128 ≈ 4× a 32-core box)
-    to ~4× the cluster's cores; output bytes are invariant to both knobs.
+    raise ``n_buckets`` (and/or ``n_hparts``) proportionally; the reduce-task
+    count follows the cluster (max(128, 4 × cluster CPUs)). Output bytes are
+    invariant to both.
     """
     import ray
 
-    # 128 reduce tasks: fine enough that reducer waves pack well at 32 CPUs
+    # ≥ 128 reduce tasks: fine enough that reducer waves pack well at 32 CPUs
     # (64 tasks = 2 ragged waves; zipf-skewed groups straggle), coarse enough
-    # that per-task overhead stays small at 8. Output bytes are independent
-    # of n_parts (files are written per exact (bucket, hpart) group).
-    # GRAFT_REDUCE_PARTS overrides for wave-packing experiments.
-    n_parts = min(cfg.n_buckets * cfg.n_hparts,
-                  int(os.environ.get("GRAFT_REDUCE_PARTS", "128")))
+    # that per-task overhead stays small at 8; 4 per CPU beyond that. Output
+    # bytes are independent of n_parts (files are written per exact
+    # (bucket, hpart) group).
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    n_parts = min(cfg.n_buckets * cfg.n_hparts, max(128, 4 * cpus))
 
     @ray.remote
     def split_block(n_parts_: int, *tables):
@@ -1029,52 +965,40 @@ def _hash_shuffle_merge_write(partials, cfg: IndexConfig, store_pos: bool) -> li
                   f"rows={t.num_rows}", file=_sys.stderr)
         return out_rows
 
-    # Stream map-output blocks into split tasks in groups of 4: bounds the
-    # object count (⌈M/4⌉ × P entries; plasma creation serializes) while
-    # keeping splits flowing during the map stage.
     import sys
     import time as _time
 
     prof = os.environ.get("GRAFT_PROFILE")
     t0 = _time.perf_counter()
-    GROUP = int(os.environ.get("GRAFT_SPLIT_GROUP", "8"))
-    # split tasks are brief memory-bound repartitions on blocks that already
-    # exist; give them a fractional CPU so they schedule DURING the map stage
-    # instead of queueing behind map tasks — otherwise the last splits only
-    # start after the map drains and sit on the critical path
-    split_cpus = float(os.environ.get("GRAFT_SPLIT_CPUS", "0.5"))
     split_refs: list = []
     raw_refs: list = []
     group: list = []
-    n_bundles = 0
+    n_blocks = 0
     t_first = None
-    for bundle in partials.iter_internal_ref_bundles():
+    for bref in block_refs:
         if t_first is None:
             t_first = _time.perf_counter() - t0
-        n_bundles += 1
-        for bref in bundle.block_refs:
-            if n_parts == 1:
-                raw_refs.append(bref)
-                continue
-            group.append(bref)
-            if len(group) >= GROUP:
-                split_refs.append(
-                    split_block.options(num_returns=n_parts, num_cpus=split_cpus)
-                    .remote(n_parts, *group)
-                )
-                group = []
+        n_blocks += 1
+        if n_parts == 1:
+            raw_refs.append(bref)
+            continue
+        group.append(bref)
+        if len(group) >= SPLIT_GROUP:
+            split_refs.append(
+                split_block.options(num_returns=n_parts, num_cpus=SPLIT_CPUS)
+                .remote(n_parts, *group)
+            )
+            group = []
     if group:
         split_refs.append(
-            split_block.options(num_returns=n_parts, num_cpus=split_cpus)
+            split_block.options(num_returns=n_parts, num_cpus=SPLIT_CPUS)
             .remote(n_parts, *group)
         )
     if prof:
         print(f"[prof]   map stream drained: {_time.perf_counter()-t0:.1f}s "
-              f"({len(split_refs)} split tasks; first bundle at "
+              f"({len(split_refs)} split tasks; first block at "
               f"{t_first if t_first is not None else -1:.1f}s, "
-              f"{n_bundles} bundles)", file=sys.stderr)
-        if os.environ.get("GRAFT_PROFILE_STATS"):
-            print(partials.stats(), file=sys.stderr)
+              f"{n_blocks} blocks)", file=sys.stderr)
         t0 = _time.perf_counter()
     if prof and n_parts > 1 and split_refs:
         # how much of the tail is the LAST split tasks still running?
@@ -1140,6 +1064,41 @@ def write_termstats(index_path: str, n_term_rows: int) -> None:
         termstats.write_parquet(ts_path)
 
 
+def finish_index(index_path: str, config: dict, rows: list[dict],
+                 **extra) -> dict:
+    """Fold the reducers' manifest rows into per-bucket stats, write global
+    termstats and an atomic manifest.json; returns the manifest. ``extra``
+    entries (e.g. a merge's ``id_ranges``) are added to the manifest."""
+    by_bucket: dict[int, dict] = {}
+    for r in rows:
+        b = int(r["bucket"])
+        agg = by_bucket.setdefault(
+            b, {"bucket": b, "n_docs": 0, "sum_len": 0, "n_terms": 0}
+        )
+        agg["n_docs"] += int(r["n_docs"])
+        agg["sum_len"] += int(r["sum_len"])
+        agg["n_terms"] += int(r["n_terms"])
+    buckets = [by_bucket[b] for b in sorted(by_bucket)]
+
+    # global term stats (df/ttf summed across buckets) — the CollectionStatistics
+    # / TermStatistics source (IndexSearcher.cs:982-1007)
+    write_termstats(index_path, sum(r["n_terms"] for r in buckets))
+
+    manifest = {
+        "format_version": 1,
+        "config": config,
+        "n_docs": sum(r["n_docs"] for r in buckets),
+        "sum_total_term_freq": sum(r["sum_len"] for r in buckets),
+        **extra,
+        "buckets": buckets,
+    }
+    tmp = os.path.join(index_path, ".manifest.tmp")
+    with open(tmp, "w") as f:
+        json.dump(manifest, f, indent=1)
+    os.replace(tmp, os.path.join(index_path, "manifest.json"))
+    return manifest
+
+
 def build_index(
     ds,
     cfg: IndexConfig,
@@ -1151,36 +1110,15 @@ def build_index(
     ``ds`` is a ray.data.Dataset with at least (id_col:int64, text_col:str).
     Never calls ray.init (caller owns the session).
     """
-    import ray
-    import ray.data  # local import: module import must not require ray
-
-    store_pos = cfg.store_positions
-
     # Task-mode inverter on the shared worker pool (warm processes, analyzer
-    # cached per process). If cfg.concurrency is set, use an actor pool of
-    # that size instead (sized to leave headroom for the read stage — a pool
-    # reserving every CPU starves the reader and the pipeline stalls).
-    import functools
-
-    if cfg.concurrency:
-        partials = ds.map_batches(
-            Inverter,
-            fn_constructor_args=(cfg, text_col, id_col),
-            batch_format="pyarrow",
-            batch_size=cfg.batch_size,
-            concurrency=min(
-                cfg.concurrency, max(1, int(ray.cluster_resources().get("CPU", 4)) - 2)
-            ),
-            num_cpus=1,
-        )
-    else:
-        partials = ds.map_batches(
-            functools.partial(
-                invert_batch_fn, cfg=cfg, text_col=text_col, id_col=id_col
-            ),
-            batch_format="pyarrow",
-            batch_size=cfg.batch_size,
-        )
+    # cached per process).
+    partials = ds.map_batches(
+        functools.partial(
+            invert_batch_fn, cfg=cfg, text_col=text_col, id_col=id_col
+        ),
+        batch_format="pyarrow",
+        batch_size=cfg.batch_size,
+    )
 
     # ONE exchange: each (bucket, hpart) reducer merges its term chunks AND
     # writes its index file directly (atomic temp+rename — idempotent under
@@ -1200,46 +1138,17 @@ def build_index(
 
     prof = os.environ.get("GRAFT_PROFILE")
     t0 = _time.perf_counter()
-    rows = _hash_shuffle_merge_write(partials, cfg, store_pos)
+    rows = _hash_shuffle_merge_write(
+        (ref for bundle in partials.iter_internal_ref_bundles()
+         for ref in bundle.block_refs),
+        cfg, cfg.store_positions)
     if prof:
         print(f"[prof] map+exchange (streamed): {_time.perf_counter()-t0:.1f}s",
               file=sys.stderr)
+        if os.environ.get("GRAFT_PROFILE_STATS"):
+            print(partials.stats(), file=sys.stderr)
         t0 = _time.perf_counter()
-    by_bucket: dict[int, dict] = {}
-    for r in rows:
-        b = int(r["bucket"])
-        agg = by_bucket.setdefault(
-            b, {"bucket": b, "n_docs": 0, "sum_len": 0, "n_terms": 0}
-        )
-        agg["n_docs"] += int(r["n_docs"])
-        agg["sum_len"] += int(r["sum_len"])
-        agg["n_terms"] += int(r["n_terms"])
-    buckets = [by_bucket[b] for b in sorted(by_bucket)]
-    n_docs = sum(r["n_docs"] for r in buckets)
-    sum_ttf = sum(r["sum_len"] for r in buckets)
-
-    # global term stats (df/ttf summed across buckets) — the CollectionStatistics
-    # / TermStatistics source (IndexSearcher.cs:982-1007). Per-bucket stats
-    # rows number n_buckets × bucket-vocab; below ~2M rows a driver-side
-    # pyarrow aggregate beats a distributed groupby's fixed costs, above it
-    # the Ray groupby shuffles (vocab at web scale is ~1e9 rows → distributed).
-    n_term_rows = sum(r["n_terms"] for r in buckets)
-    write_termstats(cfg.index_path, n_term_rows)
-
-    manifest = {
-        "format_version": 1,
-        "config": {k: v for k, v in asdict(cfg).items()},
-        "n_docs": int(n_docs),
-        "sum_total_term_freq": int(sum_ttf),
-        "buckets": [
-            {k: int(v) if isinstance(v, (int, np.integer)) else v for k, v in r.items()}
-            for r in buckets
-        ],
-    }
-    tmp = os.path.join(cfg.index_path, ".manifest.tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=1)
-    os.replace(tmp, os.path.join(cfg.index_path, "manifest.json"))
+    manifest = finish_index(cfg.index_path, asdict(cfg), rows)
     if prof:
         print(f"[prof] termstats+manifest: {_time.perf_counter()-t0:.1f}s",
               file=sys.stderr)

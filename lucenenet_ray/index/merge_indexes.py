@@ -1,10 +1,15 @@
 """Index-merge + incremental/resumable build.
 
 ``merge_indexes`` is the ``IndexWriter.AddIndexes(Directory[])`` analog
-(SURVEY §2.1): it combines several complete indexes (same bucket layout,
-disjoint docID sets) into one, re-merging per-(term, bucket) postings chunks
-— the SegmentMerger path run over already-encoded chunks (decode → concat →
-sort → re-encode, all vectorized).
+(SURVEY §2.1): it combines several complete indexes (same bucket/hpart
+layout, disjoint docID sets) into one by re-running the build's salted
+exchange. Each source bucket's postings chunks turn back into the
+Inverter's shuffle-wire rows (docs, freqs, per-doc norms from the bucket's
+norms file, position/payload runs passed through unchanged), plus one
+doc-length sentinel row per bucket; ``build._hash_shuffle_merge_write``
+feeds them to the build's own ``_merge_write_group`` reducer, and the build's
+termstats + manifest tail finishes the index. A merged index is therefore
+byte-identical to the direct build of the same documents.
 
 ``build_index_incremental`` is the checkpoint-resume story (north rule:
 "resumable from checkpoint with per-partition lineage"): the input is a list
@@ -16,150 +21,75 @@ killed run therefore loses at most one shard's work.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from lucenenet_ray.index.build import (
     DOCLEN_TERM,
     IndexConfig,
-    _atomic_write_parquet,
-    _grouped_take,
-    _write_bucket,
+    _hash_shuffle_merge_write,
     build_index,
-    encode_postings,
+    finish_index,
+    term_hpart,
+    wire_table,
 )
-from lucenenet_ray.index.codec import read_vints, write_vints
+from lucenenet_ray.index.codec import decode_docs, decode_freqs
+
+# config fields that must agree across merged sources: they fix the file
+# layout, the postings encoding and the wire-row schema
+_LAYOUT_KEYS = ("n_buckets", "n_hparts", "codec", "store_positions",
+                "payloads")
 
 
-def _remerge_group(group: pa.Table, codec: str = "vint") -> pa.Table:
-    """Merge already-encoded chunk rows of one (bucket, hpart) group, per
-    term: decode doc/freq streams, concat, sort by doc, re-encode (positions
-    included). Assumes docIDs are disjoint across source indexes."""
-    from lucenenet_ray.index.codec import decode_docs, decode_freqs
-
-    terms = group.column("term").to_numpy(zero_copy_only=False)
-    bucket = int(group.column("bucket")[0].as_py())
-    order = np.argsort(terms, kind="stable")
-
-    has_pay = "pay_bytes" in group.column_names
-    out = {k: [] for k in (
-        "bucket", "term", "df", "ttf", "max_freq", "max_norm", "doc_bytes",
-        "freq_bytes", "pos_bytes", "block_last_doc", "block_doc_off",
-        "block_freq_off", "block_max_freq", "block_max_norm",
-        "skip1_last_doc", "skip1_max_freq", "skip1_max_norm")}
-    if has_pay:
-        out["pay_bytes"] = []
-
-    terms_s = terms[order]
-    new_term = np.empty(len(terms_s), dtype=bool)
-    if len(terms_s):
-        new_term[0] = True
-        new_term[1:] = terms_s[1:] != terms_s[:-1]
-    starts = np.flatnonzero(new_term)
-    ends = np.append(starts[1:], len(terms_s))
-
-    for s, e in zip(starts, ends):
-        rows = order[s:e]
-        term = terms_s[s]
-        docs_l, freqs_l, pos_l, pay_l = [], [], [], []
-        maxn = 0
-        for r in rows:
-            r = int(r)
-            df = group.column("df")[r].as_py()
-            db = group.column("doc_bytes")[r].as_py()
-            docs_l.append(decode_docs(db, df, codec=codec))
-            freqs_l.append(decode_freqs(group.column("freq_bytes")[r].as_py(),
-                                        df, codec=codec, doc_bytes=db))
-            pos_l.append(group.column("pos_bytes")[r].as_py() or b"")
-            if has_pay:
-                pay_l.append(group.column("pay_bytes")[r].as_py() or b"")
-            maxn = max(maxn, group.column("max_norm")[r].as_py())
-        docs = np.concatenate(docs_l)
-        freqs = np.concatenate(freqs_l)
-        ordd = np.argsort(docs, kind="stable")
-
-        def _reorder_stream(blobs: list[bytes]) -> bytes:
-            # bulk-decode all per-doc delta runs, rebase per (chunk, doc)
-            # run, reorder to merged doc order, re-delta, re-encode — works
-            # for positions AND payloads (identical run structure: first
-            # delta absolute per doc, one value per position)
-            blob = b"".join(blobs)
-            all_freqs = freqs.astype(np.int64)
-            deltas = read_vints(np.frombuffer(blob, dtype=np.uint8),
-                                int(all_freqs.sum()))
-            offs = np.concatenate(([0], np.cumsum(all_freqs)))
-            c = np.cumsum(deltas.astype(np.int64))
-            rs = offs[:-1][all_freqs > 0]
-            base = c[rs] - deltas.astype(np.int64)[rs]
-            absv = c - np.repeat(base, all_freqs[all_freqs > 0])
-            ptake = _grouped_take(offs[:-1][ordd], all_freqs[ordd])
-            pv = absv[ptake]
-            d = pv.copy()
-            nrs = np.concatenate(([0], np.cumsum(all_freqs[ordd])[:-1]))
-            d[1:] -= pv[:-1]
-            d[nrs] = pv[nrs]
-            return write_vints(d.astype(np.uint64)).tobytes()
-
-        pos_stream = b""
-        pay_stream = b""
-        if term != DOCLEN_TERM and any(len(p) for p in pos_l):
-            pos_stream = _reorder_stream(pos_l)
-            if has_pay and any(len(p) for p in pay_l):
-                pay_stream = _reorder_stream(pay_l)
-
-        docs = docs[ordd]
-        freqs = freqs[ordd]
-        # norms per doc are not in the chunk rows; block_max_norm is rebuilt
-        # conservatively from the source chunks' max (still a valid bound)
-        norms = np.full(docs.size, maxn, dtype=np.uint8)
-        enc = encode_postings(docs, freqs, norms, None, codec=codec)
-        out["bucket"].append(bucket)
-        out["term"].append(term)
-        out["df"].append(len(docs))
-        out["ttf"].append(int(freqs.sum()))
-        out["max_freq"].append(int(freqs.max()) if len(freqs) else 0)
-        out["max_norm"].append(maxn)
-        out["doc_bytes"].append(enc["doc_bytes"])
-        out["freq_bytes"].append(enc["freq_bytes"])
-        out["pos_bytes"].append(pos_stream)
+def _wire_rows(index_path: str, bucket: int, n_hparts: int,
+               codec: str) -> pa.Table:
+    """One source bucket → the Inverter's shuffle-wire rows: one row per
+    postings chunk, then the bucket's doc-length sentinel row."""
+    norms = pq.read_table(
+        os.path.join(index_path, "norms", f"bucket={bucket:05d}.parquet"))
+    doc_ids = norms.column("doc_id").to_numpy().astype(np.int64)
+    files = sorted(glob.glob(os.path.join(
+        index_path, "postings", f"bucket={bucket:05d}*.parquet")))
+    post = pa.concat_tables([pq.read_table(f) for f in files]) if files \
+        else None
+    terms, dfs, docs, freqs, pos_rows, pay_rows = [], [], [], [], [], []
+    has_pay = post is not None and "pay_bytes" in post.column_names
+    if post is not None:
+        terms = post.column("term").to_pylist()
+        dfs = post.column("df").to_pylist()
+        for d, f, n in zip(post.column("doc_bytes").to_pylist(),
+                           post.column("freq_bytes").to_pylist(), dfs):
+            docs.append(decode_docs(d, n, codec=codec))
+            freqs.append(decode_freqs(f, n, codec=codec, doc_bytes=d))
+        # position/payload runs are self-contained per doc: they move as bytes
+        pos_rows = post.column("pos_bytes").to_pylist()
         if has_pay:
-            out["pay_bytes"].append(pay_stream)
-        out["block_last_doc"].append(enc["block_last_doc"].tolist())
-        out["block_doc_off"].append(enc["block_doc_off"].tolist())
-        out["block_freq_off"].append(enc["block_freq_off"].tolist())
-        out["block_max_freq"].append(enc["block_max_freq"].tolist())
-        out["block_max_norm"].append(enc["block_max_norm"].tolist())
-        out["skip1_last_doc"].append(enc["skip1_last_doc"].tolist())
-        out["skip1_max_freq"].append(enc["skip1_max_freq"].tolist())
-        out["skip1_max_norm"].append(enc["skip1_max_norm"].tolist())
-
-    return pa.table(
-        {
-            "bucket": pa.array(out["bucket"], type=pa.int32()),
-            "term": pa.array(out["term"], type=pa.string()),
-            "df": pa.array(out["df"], type=pa.int64()),
-            "ttf": pa.array(out["ttf"], type=pa.int64()),
-            "max_freq": pa.array(out["max_freq"], type=pa.int32()),
-            "max_norm": pa.array(out["max_norm"], type=pa.int32()),
-            "doc_bytes": pa.array(out["doc_bytes"], type=pa.large_binary()),
-            "freq_bytes": pa.array(out["freq_bytes"], type=pa.large_binary()),
-            "pos_bytes": pa.array(out["pos_bytes"], type=pa.large_binary()),
-            **({"pay_bytes": pa.array(out["pay_bytes"], type=pa.large_binary())}
-               if has_pay else {}),
-            "block_last_doc": pa.array(out["block_last_doc"], type=pa.list_(pa.int64())),
-            "block_doc_off": pa.array(out["block_doc_off"], type=pa.list_(pa.int64())),
-            "block_freq_off": pa.array(out["block_freq_off"], type=pa.list_(pa.int64())),
-            "block_max_freq": pa.array(out["block_max_freq"], type=pa.list_(pa.int32())),
-            "block_max_norm": pa.array(out["block_max_norm"], type=pa.list_(pa.int32())),
-            "skip1_last_doc": pa.array(out["skip1_last_doc"], type=pa.list_(pa.int64())),
-            "skip1_max_freq": pa.array(out["skip1_max_freq"], type=pa.list_(pa.int32())),
-            "skip1_max_norm": pa.array(out["skip1_max_norm"], type=pa.list_(pa.int32())),
-        }
-    )
+            pay_rows = post.column("pay_bytes").to_pylist()
+    all_docs = np.concatenate(docs + [doc_ids])
+    # per-doc norm bytes: chunk docs are looked up in the bucket's norms
+    idx = np.searchsorted(doc_ids, all_docs)
+    if not ((idx < len(doc_ids)).all()
+            and np.array_equal(doc_ids[idx], all_docs)):
+        raise ValueError(f"{index_path} bucket {bucket}: postings name docs "
+                         "absent from its norms file")
+    n_rows = len(terms) + 1
+    return wire_table(
+        pa.array(terms + [DOCLEN_TERM], type=pa.string()),
+        np.full(n_rows, bucket, dtype=np.int64),
+        np.array([term_hpart(t, n_hparts) for t in terms] + [0],
+                 dtype=np.int64),
+        np.array(dfs + [len(doc_ids)], dtype=np.int64),
+        all_docs,
+        np.concatenate(freqs + [norms.column("doc_len").to_numpy()]),
+        norms.column("norm").to_numpy().astype(np.uint8)[idx],
+        pos_rows + [b""],
+        pay_rows + [b""] if has_pay else None)
 
 
 def _merge_ranges(ranges: list[list[int]]) -> list[list[int]]:
@@ -174,141 +104,58 @@ def _merge_ranges(ranges: list[list[int]]) -> list[list[int]]:
 
 
 def merge_indexes(index_paths: list[str], out_path: str) -> dict:
-    """Combine complete same-layout indexes into one (AddIndexes analog).
+    """Combine complete same-layout indexes into one (AddIndexes analog):
+    one task per source bucket re-derives its wire rows, then the build's
+    exchange, reducer and termstats/manifest tail write ``out_path``."""
+    import ray
 
-    The doclen sentinel is re-derived from the source norms files (exact
-    per-doc norms survive the merge), postings chunks re-merge per
-    (term, bucket) via a groupby shuffle over ENCODED rows (compressed
-    bytes move, not raw postings).
-    """
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    os.makedirs(out_path, exist_ok=True)
     manifests = []
     for p in index_paths:
+        if os.path.realpath(p) == os.path.realpath(out_path):
+            raise ValueError(f"cannot merge {p} into itself")
         with open(os.path.join(p, "manifest.json")) as f:
             manifests.append(json.load(f))
-    n_buckets = manifests[0]["config"]["n_buckets"]
-    codec = manifests[0]["config"].get("codec", "vint")
+    cfg0 = manifests[0]["config"]
     for m in manifests[1:]:
-        if m["config"]["n_buckets"] != n_buckets:
-            raise ValueError("bucket layouts differ; cannot merge")
-        if m["config"].get("codec", "vint") != codec:
-            raise ValueError("postings codecs differ; cannot merge")
+        for k in _LAYOUT_KEYS:
+            if m["config"].get(k) != cfg0.get(k):
+                raise ValueError(f"sources differ in {k}; cannot merge")
 
-    # postings re-merge (distributed)
-    import glob as _glob
+    # id range = the UNION of the sources' doc spaces (the honest
+    # description of what the merged index covers — MultiIndexReader's
+    # disjointness check and any range-based tooling read this). The
+    # merged index's buckets keep the sources' numbering (every source
+    # shares n_buckets), NOT recomputed from this range.
+    config = cfg0 | {
+        "index_path": out_path,
+        "id_min": min(m["config"]["id_min"] for m in manifests),
+        "id_max": max(m["config"]["id_max"] for m in manifests),
+    }
+    codec = cfg0.get("codec", "vint")
+    cfg = IndexConfig(index_path=out_path, id_min=config["id_min"],
+                      id_max=config["id_max"], n_buckets=cfg0["n_buckets"],
+                      n_hparts=cfg0["n_hparts"], codec=codec,
+                      store_positions=cfg0.get("store_positions", True))
 
-    posting_files = []
-    for p in index_paths:
-        posting_files.extend(
-            sorted(_glob.glob(os.path.join(p, "postings", "*.parquet")))
-        )
-    ds = rd.read_parquet(posting_files)
-
-    def add_hpart(t: pa.Table) -> pa.Table:
-        terms = t.column("term").to_pylist()
-        hp = []
-        for term in terms:
-            h = 0xCBF29CE484222325
-            for byte in term.encode("utf-8"):
-                h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-            hp.append(h % 8)
-        return t.append_column("hpart", pa.array(hp, type=pa.int32()))
-
-    merged = (
-        ds.map_batches(add_hpart, batch_format="pyarrow")
-        .groupby(["bucket", "hpart"])
-        .map_groups(lambda g: _remerge_group(g.drop_columns(["hpart"]), codec),
-                    batch_format="pyarrow")
-    )
-
-    os.makedirs(os.path.join(out_path, "postings"), exist_ok=True)
-    os.makedirs(os.path.join(out_path, "norms"), exist_ok=True)
-
-    def write_bucket_postings(g: pa.Table) -> pa.Table:
-        bucket = int(g.column("bucket")[0].as_py())
-        order = pc.sort_indices(g.column("term"))
-        _atomic_write_parquet(
-            g.take(order),
-            os.path.join(out_path, "postings", f"bucket={bucket:05d}.parquet"),
-            row_group_size=2048,
-        )
-        return pa.table({"bucket": pa.array([bucket], type=pa.int32()),
-                         "n_terms": pa.array([g.num_rows], type=pa.int64())})
-
-    bucket_rows = (
-        merged.groupby("bucket")
-        .map_groups(write_bucket_postings, batch_format="pyarrow")
-        .take_all()
-    )
-
-    # norms: concatenate per bucket (docID sets disjoint) and sort
-    n_docs = 0
-    sum_len = 0
-    bucket_stats = {}
-    for b in range(n_buckets):
-        tables = []
-        for p in index_paths:
-            f = os.path.join(p, "norms", f"bucket={b:05d}.parquet")
-            if os.path.exists(f):
-                tables.append(pq.read_table(f))
-        if not tables:
-            continue
-        t = pa.concat_tables(tables)
-        t = t.take(pc.sort_indices(t.column("doc_id")))
-        _atomic_write_parquet(t, os.path.join(out_path, "norms", f"bucket={b:05d}.parquet"))
-        nd = t.num_rows
-        sl = int(pc.sum(t.column("doc_len")).as_py())
-        n_docs += nd
-        sum_len += sl
-        bucket_stats[b] = (nd, sl)
-
-    # global termstats
-    stats_t = pq.read_table(os.path.join(out_path, "postings"),
-                            columns=["term", "df", "ttf"])
-    agg = pa.TableGroupBy(stats_t, "term").aggregate([("df", "sum"), ("ttf", "sum")])
-    agg = agg.rename_columns(["term", "df", "ttf"])
-    agg = agg.take(pc.sort_indices(agg.column("term")))
-    os.makedirs(os.path.join(out_path, "termstats"), exist_ok=True)
-    _atomic_write_parquet(agg, os.path.join(out_path, "termstats", "termstats.parquet"))
-
-    nt_by_bucket = {r["bucket"]: r["n_terms"] for r in bucket_rows}
-    manifest = {
-        "format_version": 1,
-        # id range = the UNION of the sources' doc spaces (the honest
-        # description of what the merged index covers — MultiIndexReader's
-        # disjointness check and any range-based tooling read this). Note
-        # the merged index's buckets keep the sources' numbering, read
-        # from the postings/norms files, NOT recomputed from this range.
-        "config": manifests[0]["config"] | {
-            "index_path": out_path,
-            "id_min": min(m["config"]["id_min"] for m in manifests),
-            "id_max": max(m["config"]["id_max"] for m in manifests),
-        },
+    # a rerun into the same out_path starts from empty index directories
+    for sub in ("postings", "norms", "termstats"):
+        shutil.rmtree(os.path.join(out_path, sub), ignore_errors=True)
+    os.makedirs(out_path, exist_ok=True)
+    wire = ray.remote(_wire_rows)
+    refs = [wire.remote(p, int(b["bucket"]), cfg.n_hparts, codec)
+            for p, m in zip(index_paths, manifests) for b in m["buckets"]]
+    rows = _hash_shuffle_merge_write(refs, cfg, cfg.store_positions)
+    return finish_index(
+        out_path, config, rows,
         # the EXACT doc-space as a coalesced range list — merges of
         # non-adjacent shards leave holes that a single [min,max] can't
         # express (MultiIndexReader checks disjointness against this)
-        "id_ranges": _merge_ranges([
+        id_ranges=_merge_ranges([
             r for m in manifests
             for r in m.get("id_ranges",
                            [[m["config"]["id_min"], m["config"]["id_max"]]])
         ]),
-        "n_docs": int(n_docs),
-        "sum_total_term_freq": int(sum_len),
-        "merged_from": index_paths,
-        "buckets": [
-            {"bucket": b, "n_docs": int(nd), "sum_len": int(sl),
-             "n_terms": int(nt_by_bucket.get(b, 0))}
-            for b, (nd, sl) in sorted(bucket_stats.items())
-        ],
-    }
-    tmp = os.path.join(out_path, ".manifest.tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=1)
-    os.replace(tmp, os.path.join(out_path, "manifest.json"))
-    return manifest
+        merged_from=index_paths)
 
 
 def build_index_incremental(shards: list[tuple[str, "object"]], out_path: str,

@@ -21,6 +21,7 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
+from lucenenet_ray.index.build import postings_file_name, term_hpart
 from lucenenet_ray.index.codec import decode_docs, decode_freqs, decode_positions
 
 
@@ -152,7 +153,7 @@ class BucketData:
 
     def __init__(self, bucket_id: int, norms_path: str, postings_glob: str,
                  codec: str = "vint", docvalues_path: str | None = None,
-                 bloom_path: str | None = None):
+                 bloom_path: str | None = None, n_hparts: int | None = None):
         import glob as _glob
 
         self.bucket_id = bucket_id
@@ -162,6 +163,19 @@ class BucketData:
         self._bloom_cached: object = False  # False = not loaded yet
         self.codec = codec
         self.postings_files = sorted(_glob.glob(postings_glob))
+        # a term's chunk lives in its hpart's file only; files named without
+        # an hpart (indexes written before per-hpart merges) may hold any term
+        self.n_hparts = n_hparts
+        by_name = {postings_file_name(bucket_id, h): h
+                   for h in range(n_hparts or 0)}
+        self._hpart_file: dict[int, str] = {}
+        self._any_term_files: list[str] = []
+        for f in self.postings_files:
+            h = by_name.get(os.path.basename(f))
+            if h is None:
+                self._any_term_files.append(f)
+            else:
+                self._hpart_file[h] = f
         self._norms: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._postings_full: dict[str, PostingsChunk] | None = None
         self._chunk_cache: dict[str, PostingsChunk | None] = {}
@@ -342,9 +356,15 @@ class BucketData:
                     missing = [m for m, is_neg in zip(missing, neg)
                                if not is_neg]
         if missing:
+            files = {f: missing for f in self._any_term_files}
+            if self._hpart_file:
+                for m in missing:
+                    f = self._hpart_file.get(term_hpart(m, self.n_hparts))
+                    if f is not None:
+                        files.setdefault(f, []).append(m)
             found = set()
-            for f in self.postings_files:
-                t = pq.read_table(f, filters=pc.field("term").isin(missing))
+            for f, ts in files.items():
+                t = pq.read_table(f, filters=pc.field("term").isin(ts))
                 for i in range(t.num_rows):
                     c = self._row_to_chunk(t, i)
                     self._chunk_cache[c.term] = c
@@ -471,6 +491,7 @@ class IndexReader:
                     self.index_path, "docvalues", f"bucket={bucket_id:05d}.parquet"),
                 bloom_path=os.path.join(
                     self.index_path, "bloom", f"bucket={bucket_id:05d}.parquet"),
+                n_hparts=self.manifest.get("config", {}).get("n_hparts"),
             )
             self._buckets[bucket_id] = bd
         return bd

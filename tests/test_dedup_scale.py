@@ -33,9 +33,18 @@ def _mk_pages(n_urls=200, dup_every=3, seed=7):
     })
 
 
-def _reference_dedup(t: pa.Table) -> pa.Table:
-    from lucenenet_ray.pipelines.flagship import keep_latest_by_url
+def keep_latest_by_url(group: pa.Table) -> pa.Table:
+    """Per-url reference: keep the row with the greatest warc_ts (ties:
+    lexicographically greatest html bytes)."""
+    if group.num_rows == 1:
+        return group
+    idx = pc.sort_indices(
+        group, sort_keys=[("warc_ts", "descending"), ("html", "descending")]
+    )
+    return group.take(idx[:1])
 
+
+def _reference_dedup(t: pa.Table) -> pa.Table:
     out = []
     for u in sorted(set(t.column("url").to_pylist())):
         g = t.filter(pc.equal(t.column("url"), u))
@@ -47,35 +56,25 @@ def _sorted(t: pa.Table) -> pa.Table:
     return t.take(pc.sort_indices(t, sort_keys=[("url", "ascending")]))
 
 
-class _NoDriverFetchNoGroupPython:
+class _NoDriverFetch:
     """Fails the test if the dedup path fetches Dataset blocks to the
-    driver (to_arrow_refs) or calls the per-url-group Python kernel."""
+    driver (to_arrow_refs)."""
 
     def __enter__(self):
         import ray.data
 
-        from lucenenet_ray.pipelines import flagship
-
         self._ds_cls = ray.data.Dataset
         self._orig_refs = self._ds_cls.to_arrow_refs
-        self._flagship = flagship
-        self._orig_keep = flagship.keep_latest_by_url
 
         def no_refs(ds_self, *a, **kw):
             raise AssertionError(
                 "to_arrow_refs on the over-threshold dedup path")
 
-        def no_group(group):
-            raise AssertionError(
-                "per-url-group Python kernel on the at-scale dedup path")
-
         self._ds_cls.to_arrow_refs = no_refs
-        flagship.keep_latest_by_url = no_group
         return self
 
     def __exit__(self, *exc):
         self._ds_cls.to_arrow_refs = self._orig_refs
-        self._flagship.keep_latest_by_url = self._orig_keep
         return False
 
 
@@ -89,27 +88,6 @@ def test_partition_kernel_matches_per_group_reference():
     assert got.equals(want)
 
 
-def test_dedup_latest_fallback_vectorized_and_driverless(ray_session):
-    """Forcing the over-threshold branch (max_broadcast_urls=0): result
-    identical to the broadcast fast path, with driver fetches and
-    per-group Python forbidden."""
-    from lucenenet_ray.pipelines.flagship import dedup_latest
-
-    t = _mk_pages()
-    ds = rd.from_arrow(t).repartition(5)
-    fast = _sorted(pa.Table.from_pylist(dedup_latest(ds).take_all()))
-    with _NoDriverFetchNoGroupPython():
-        slow_ds = dedup_latest(rd.from_arrow(t).repartition(5),
-                               max_broadcast_urls=0)
-        slow = _sorted(pa.Table.from_pylist(slow_ds.take_all()))
-    want = _sorted(_reference_dedup(t))
-    # column order can differ after shuffles; compare canonically
-    cols = sorted(t.column_names)
-    assert fast.select(cols).equals(want.select(cols))
-    assert slow.select(cols).cast(want.select(cols).schema).equals(
-        want.select(cols))
-
-
 def test_dedup_latest_pages_fallback_vectorized_and_driverless(
         ray_session, tmp_path):
     from lucenenet_ray.pipelines.flagship import dedup_latest_pages
@@ -120,7 +98,7 @@ def test_dedup_latest_pages_fallback_vectorized_and_driverless(
     path = str(tmp_path / "pages.parquet")
     pq.write_table(t, path)
     ds = rd.read_parquet(path)
-    with _NoDriverFetchNoGroupPython():
+    with _NoDriverFetch():
         out_ds = dedup_latest_pages(path, ds, max_broadcast_urls=0)
         out = _sorted(pa.Table.from_pylist(out_ds.take_all()))
     want = _sorted(_reference_dedup(t))
@@ -129,16 +107,21 @@ def test_dedup_latest_pages_fallback_vectorized_and_driverless(
         want.select(cols))
 
 
-def test_dedup_fallback_block_invariance(ray_session):
+def test_dedup_fallback_block_invariance(ray_session, tmp_path):
     """Same bytes out at any input partitioning (the co-location property
-    the polars-hash exchange must provide)."""
-    from lucenenet_ray.pipelines.flagship import dedup_latest
+    the polars-hash exchange must provide): the same pages written once
+    and read at 2 vs 13 blocks."""
+    from lucenenet_ray.pipelines.flagship import dedup_latest_pages
+
+    import pyarrow.parquet as pq
 
     t = _mk_pages(n_urls=150, seed=11)
-    a = dedup_latest(rd.from_arrow(t).repartition(2),
-                     max_broadcast_urls=0)
-    b = dedup_latest(rd.from_arrow(t).repartition(13),
-                     max_broadcast_urls=0)
-    ta = _sorted(pa.Table.from_pylist(a.take_all()))
-    tb = _sorted(pa.Table.from_pylist(b.take_all()))
-    assert ta.equals(tb)
+    path = str(tmp_path / "pages.parquet")
+    pq.write_table(t, path, row_group_size=16)
+
+    def run(n_blocks: int) -> pa.Table:
+        ds = rd.read_parquet(path, override_num_blocks=n_blocks)
+        out = dedup_latest_pages(path, ds, max_broadcast_urls=0)
+        return _sorted(pa.Table.from_pylist(out.take_all()))
+
+    assert run(2).equals(run(13))

@@ -213,7 +213,7 @@ def test_index_invariants(documents_index, corpus):
 
 def test_determinism_across_parallelism(ray_session, tmp_path, documents_index):
     """Same corpus, different batch size / bucket partitioning parameters that
-    do NOT change logical layout (batch_size, concurrency) → byte-identical
+    do NOT change logical layout (batch_size) → byte-identical
     index files (SURVEY §4 determinism; FIXTURES §7)."""
     import filecmp
 
@@ -227,7 +227,7 @@ def test_determinism_across_parallelism(ray_session, tmp_path, documents_index):
         columns=["doc_id", "text", "source"],
     )
     cfg = IndexConfig(index_path=p2, id_min=0, id_max=499, n_buckets=4,
-                      batch_size=137, concurrency=2,  # different execution shape
+                      batch_size=137,  # different execution shape
                       extra_fields=(("source", "source", False),),
                       payloads="offset")
     build_index(ds, cfg)
@@ -415,7 +415,7 @@ def test_reducer_bytes_bounded_under_skew():
     needs only proportionally more buckets, never a bigger reducer."""
     import numpy as np
 
-    from lucenenet_ray.index.build import IndexConfig, _term_hpart
+    from lucenenet_ray.index.build import IndexConfig, term_hpart
 
     rng = np.random.default_rng(3)
     n_docs = 40_000
@@ -432,7 +432,8 @@ def test_reducer_bytes_bounded_under_skew():
                           id_max=n_docs - 1, n_buckets=n_buckets,
                           n_hparts=n_hparts)
         b = cfg.bucket_of(doc_ids).astype(np.int64)
-        hp = _term_hpart(post_terms, n_hparts).astype(np.int64)
+        hp = np.array([term_hpart(t, n_hparts) for t in post_terms],
+                      dtype=np.int64)
         key = b * n_hparts + hp
         _u, cnt = np.unique(key, return_counts=True)
         return int(cnt.max()) * bytes_per_posting

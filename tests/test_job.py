@@ -66,10 +66,19 @@ def test_index_job_resumes_after_partial_crash(sharded_index, tmp_path):
 def test_sharded_results_match_single_build(sharded_index, tmp_path):
     """Shard-then-merge must be invisible to queries: identical top-k docs
     and float32 scores vs the one-shot distributed build of the same pages
-    (SegmentMerger invariant, ``Index/SegmentMerger.cs:40-56``)."""
+    (SegmentMerger invariant, ``Index/SegmentMerger.cs:40-56``). The merge
+    runs the build's own exchange and reducer, so the postings and norms
+    bytes (bench.py's digest) and the termstats are identical too."""
+    import pyarrow.parquet as pq
+
+    from bench import index_digest
+
     pages, out, _ = sharded_index
     single = str(tmp_path / "idx_single")
     index_pages(pages, single, n_buckets=4, n_hparts=2)
+    assert index_digest(out) == index_digest(single)
+    assert pq.read_table(os.path.join(out, "termstats")).equals(
+        pq.read_table(os.path.join(single, "termstats")))
     r_sh, r_si = IndexReader(out), IndexReader(single)
     for q in QUERIES:
         a = search(r_sh, parse_query(q), k=10)

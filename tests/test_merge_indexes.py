@@ -81,3 +81,66 @@ def test_merge_manifest_lineage(incremental_index):
     with open(os.path.join(inc_path, "manifest.json")) as f:
         on_disk = json.load(f)
     assert "shard_lineage" in on_disk
+
+
+def _build(ds, path, **kw):
+    from lucenenet_ray.index.build import IndexConfig, build_index
+
+    cfg = IndexConfig(**{"index_path": path, "id_min": 0, "id_max": 499,
+                         "n_buckets": 4, **kw})
+    build_index(ds, cfg)
+    return path
+
+
+def test_merged_bytes_equal_direct_build(ray_session, tmp_path):
+    """Two shards merged = the direct build of the same docs, byte for
+    byte, with payload streams and a keyword field riding through."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from bench import index_digest
+    from conftest import SF_DIR
+    from lucenenet_ray.index.merge_indexes import merge_indexes
+
+    ds = rd.read_parquet(os.path.join(SF_DIR, "documents.parquet"),
+                         columns=["doc_id", "text", "source"])
+    kw = dict(n_hparts=4, payloads="offset",
+              extra_fields=(("source", "source", False),))
+    direct = _build(ds, str(tmp_path / "direct"), **kw)
+    # interleaved docIDs: every bucket and most chunks span both shards
+    shards = [_build(ds.filter(lambda r, k=k: (r["doc_id"] % 3 == 0) == k),
+                     str(tmp_path / f"shard{int(k)}"), **kw)
+              for k in (True, False)]
+    merged = str(tmp_path / "merged")
+    m = merge_indexes(shards, merged)
+    assert index_digest(merged) == index_digest(direct)
+    assert pq.read_table(os.path.join(merged, "termstats")).equals(
+        pq.read_table(os.path.join(direct, "termstats")))
+    with open(os.path.join(direct, "manifest.json")) as f:
+        d = json.load(f)
+    assert m["buckets"] == d["buckets"]
+    assert m["n_docs"] == d["n_docs"]
+    assert m["sum_total_term_freq"] == d["sum_total_term_freq"]
+
+
+@pytest.mark.parametrize("key,value", [("n_buckets", 2), ("codec", "vint"),
+                                       ("n_hparts", 4),
+                                       ("store_positions", False)])
+def test_merge_rejects_mismatched_layouts(ray_session, tmp_path, key, value):
+    import pyarrow as pa
+    import ray.data as rd
+
+    from lucenenet_ray.index.merge_indexes import merge_indexes
+
+    def ds(lo):
+        ids = list(range(lo, lo + 20))
+        return rd.from_arrow(pa.table({
+            "doc_id": pa.array(ids, type=pa.int64()),
+            "text": [f"spark window merge {i}" for i in ids]}))
+
+    a = _build(ds(0), str(tmp_path / "a"), n_hparts=2)
+    b = _build(ds(100), str(tmp_path / "b"), **{"n_hparts": 2, key: value})
+    out = str(tmp_path / "out")
+    with pytest.raises(ValueError, match=key):
+        merge_indexes([a, b], out)
+    assert not os.path.exists(os.path.join(out, "postings"))

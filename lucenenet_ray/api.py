@@ -10,8 +10,9 @@ machinery, so a Lucene.NET caller can switch call-for-call:
   new shard index with the next doc-id range; a writer manifest is the
   segments_N analog, written temp+rename)
 * ``MaybeMerge`` / ``ForceMerge(n)`` -> :meth:`IndexWriter.maybe_merge` /
-  :meth:`IndexWriter.force_merge` (index/merge_policy.py selections,
-  applied with merge_indexes; shard tombstone logs travel with the merge)
+  :meth:`IndexWriter.force_merge` (index/merge_policy.py selections, one
+  merge_indexes call per group; each shard's tombstone log goes into the
+  merge, which drops the deleted docs)
 * ``DirectoryReader.Open(writer_dir)`` -> :meth:`IndexWriter.reader`
   (search/multi_reader.py federation over the committed shards)
 
@@ -167,17 +168,14 @@ class IndexWriter:
 
     # -- merging (MaybeMerge / ForceMerge) ----------------------------------
     def _apply_merges(self, spec) -> int:
-        """SegmentMerger.Merge: each source's tombstones are applied
-        PHYSICALLY (expunge = liveDocs applied, docs dropped from
-        postings/norms and stats recomputed) before the merge, so the
-        merged shard starts with an empty delete log and its df/avgdl no
-        longer count reclaimed docs — exactly the reference's
-        merge-reclaims-deletes behavior. Old shard dirs are left on disk
-        (an IndexFileDeleter-style GC of unreferenced dirs is the
-        caller's concern); expunge temps are removed."""
-        import glob as _g
-
-        from lucenenet_ray.index.deletes import expunge_deletes
+        """SegmentMerger.Merge: one ``merge_indexes`` call per group, each
+        source with its tombstone log, so the merge drops deleted docs
+        (liveDocs applied) and the merged shard starts with an empty delete
+        log; its df/avgdl no longer count reclaimed docs — exactly the
+        reference's merge-reclaims-deletes behavior. A group whose every
+        doc is deleted leaves no shard. Old shard dirs are left on disk (an
+        IndexFileDeleter-style GC of unreferenced dirs is the caller's
+        concern)."""
         from lucenenet_ray.index.merge_indexes import merge_indexes
 
         applied = 0
@@ -187,37 +185,18 @@ class IndexWriter:
             name = f"merged_{self._m['gen']:06d}_{applied}"
             out = os.path.join(self.root, "shards", name)
             by_path = {sh["path"]: sh for sh in self._m["shards"]}
-            srcs = []
-            temps = []
-            dropped: set[str] = set()
-            for i, s in enumerate(group):
-                ddir = by_path[s.path]["deletes"]
-                if _g.glob(os.path.join(ddir, "del-*.parquet")):
-                    clean = os.path.join(self.root, "shards",
-                                         f".exp_{name}_{i}")
-                    shutil.rmtree(clean, ignore_errors=True)
-                    m = expunge_deletes(s.path, clean, deletes_path=ddir)
-                    if m["n_docs"] == 0:
-                        # 100%-deleted segment: dropped at merge, like the
-                        # reference (never written into the new segment)
-                        shutil.rmtree(clean, ignore_errors=True)
-                        dropped.add(s.path)
-                        continue
-                    srcs.append(clean)
-                    temps.append(clean)
-                else:
-                    srcs.append(s.path)
-            if dropped:
-                self._m["shards"] = [sh for sh in self._m["shards"]
-                                     if sh["path"] not in dropped]
-            if len(srcs) < 2:
-                if dropped:
-                    applied += 1  # manifest changed even without a merge
-                continue
-            merge_indexes(srcs, out)
-            for t in temps:
-                shutil.rmtree(t, ignore_errors=True)
+            m = merge_indexes([(s.path, by_path[s.path]["deletes"])
+                               for s in group], out)
             merged_set = {s.path for s in group}
+            src_stores = [sh.get("docstore") for sh in self._m["shards"]
+                          if sh["path"] in merged_set and sh.get("docstore")]
+            self._m["shards"] = [sh for sh in self._m["shards"]
+                                 if sh["path"] not in merged_set]
+            applied += 1
+            if not m["n_docs"]:
+                # 100%-deleted group: nothing is written into a new segment
+                shutil.rmtree(out, ignore_errors=True)
+                continue
             entry = {"path": out,
                      "deletes": os.path.join(self.root, "deletes", name)}
             # stored fields travel as a file-level union (disjoint id
@@ -225,8 +204,6 @@ class IndexWriter:
             # cross-file order). Documented delta vs the reference: stored
             # rows of RECLAIMED docs persist here until a docstore rebuild
             # — unreachable through search either way.
-            src_stores = [sh.get("docstore") for sh in self._m["shards"]
-                          if sh["path"] in merged_set and sh.get("docstore")]
             if src_stores:
                 dpath = os.path.join(self.root, "docstore", name)
                 os.makedirs(dpath, exist_ok=True)
@@ -238,10 +215,7 @@ class IndexWriter:
                                         os.path.join(dpath, f"{k:06d}.parquet"))
                             k += 1
                 entry["docstore"] = dpath
-            self._m["shards"] = [sh for sh in self._m["shards"]
-                                 if sh["path"] not in merged_set]
             self._m["shards"].append(entry)
-            applied += 1
         if applied:
             self._m["gen"] += 1
             self._write_manifest()

@@ -1037,8 +1037,8 @@ def write_termstats(index_path: str, n_term_rows: int) -> None:
     ts_path = os.path.join(index_path, "termstats")
     postings_dir = os.path.join(index_path, "postings")
     if not _glob.glob(os.path.join(postings_dir, "*.parquet")):
-        # an index whose every doc was dropped (expunge of a fully-deleted
-        # shard) legitimately has no postings files — write empty stats
+        # a merge whose every source doc was dead (an expunge of a fully
+        # deleted shard) legitimately has no postings files — empty stats
         os.makedirs(ts_path, exist_ok=True)
         empty = pa.table({"term": pa.array([], type=pa.string()),
                           "df": pa.array([], type=pa.int64()),

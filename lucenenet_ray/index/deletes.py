@@ -10,7 +10,8 @@ every query, but collection statistics (df, ttf, norms, avgdl — hence idf and
 every BM25 weight) are computed over ALL docs until the deletes are physically
 expunged (``IndexWriter.ForceMergeDeletes``; segments keep their stats until
 merge, ``SegmentReader.cs`` liveDocs vs FieldInfos). ``expunge_deletes``
-rewrites the index dropping dead docs and recomputes the stats.
+and every ``IndexWriter`` merge drop dead docs inside ``merge_indexes``
+(the one postings rewrite) and recompute the stats.
 
 Log layout: ``<deletes_dir>/del-<generation>.parquet`` with a single ``term``
 column; generations are monotone, a reader unions all generations. The log is
@@ -64,268 +65,16 @@ def load_deleted_terms(deletes_dir: str | None) -> tuple[str, ...]:
 
 def expunge_deletes(index_path: str, out_path: str,
                     deletes_path: str | None = None) -> dict:
-    """Physically rewrite the index without deleted docs
-    (``IndexWriter.ForceMergeDeletes``; the merge applying liveDocs,
-    ``SegmentMerger.cs``). Two distributed passes over Ray Data:
+    """Physically rewrite the index without its deleted docs
+    (``IndexWriter.ForceMergeDeletes``): a one-source ``merge_indexes``
+    whose per-bucket tasks resolve the tombstone log against the postings
+    they decode and drop the dead docs before the build's exchange and
+    reducer. ``deletes_path`` defaults to ``<index>/deletes``, as in
+    ``IndexReader``. The result is byte-identical to an index built directly
+    over the surviving docs, stats included (tested); a fully deleted bucket
+    leaves no files."""
+    from lucenenet_ray.index.merge_indexes import merge_indexes
 
-    1. per bucket: resolve the tombstone terms against postings (pushdown
-       read of only those terms' rows) → the bucket's dead-doc set;
-    2. per postings file: drop dead docs from every term row. A row with no
-       dead docs keeps its bytes untouched; a changed row re-encodes
-       docs/freqs with the canonical codec and filters the position stream
-       by pure per-doc byte-segment gather (runs are self-contained — same
-       trick as the segment merge, build.py _merge_group).
-
-    Norms files are rewritten dropping dead rows; termstats and the manifest
-    (n_docs, sum_total_term_freq) are recomputed. The result is byte-identical
-    to an index built directly over the corpus minus the deleted docs
-    (tested) — deletes fold away completely, stats included.
-
-    Scale note: dead-doc sets are broadcast via ``ray.put`` once (the dead
-    fraction of a delete wave, not the corpus); at extreme dead counts pass 1
-    could keep per-bucket refs instead of collecting, same shape.
-    """
-    import json
-
-    import numpy as np
-    import ray
-    import ray.data as rd
-
-    from lucenenet_ray.index.build import write_termstats
-    from lucenenet_ray.search.reader import IndexReader
-
-    reader = IndexReader(index_path, deletes_path=deletes_path)
-    dterms = list(reader.deleted_terms)
-    codec = reader.manifest.get("config", {}).get("codec", "vint")
-    os.makedirs(out_path, exist_ok=True)
-
-    # -- pass 1: dead docs per bucket (tiny pushdown reads, one task/bucket)
-    def find_dead(batch: pa.Table) -> pa.Table:
-        r = IndexReader(index_path, deletes_path="/nonexistent")
-        rows = []
-        for b in batch.column("bucket").to_pylist():
-            bd = r.bucket(b)
-            chunks = bd.chunks_for_terms(dterms, full=False)
-            dead = (
-                np.unique(np.concatenate([c.docs() for c in chunks.values()]))
-                if chunks else np.empty(0, dtype=np.int64)
-            )
-            rows.append({"bucket": b, "dead": dead.tolist()})
-        return pa.Table.from_pylist(rows)
-
-    buckets = reader.bucket_ids
-    dead_tbl = (
-        rd.from_items([{"bucket": b} for b in buckets],
-                      override_num_blocks=len(buckets))
-        .map_batches(find_dead, batch_format="pyarrow")
-        .take_all()
-    )
-    dead_by_bucket = {
-        r["bucket"]: np.asarray(r["dead"], dtype=np.int64) for r in dead_tbl
-    }
-    return rewrite_without_docs(index_path, out_path, dead_by_bucket,
-                                codec, reader.manifest)
-
-
-def rewrite_without_docs(index_path: str, out_path: str,
-                         dead_by_bucket: dict, codec: str,
-                         base_manifest: dict) -> dict:
-    """Physically rewrite an index dropping the given per-bucket doc sets —
-    the SegmentMerger-applying-liveDocs core shared by expunge_deletes and
-    the index splitter (PKIndexSplitter analog, index/split.py)."""
-    import json
-
-    import numpy as np
-    import ray
-    import ray.data as rd
-
-    from lucenenet_ray.index.build import write_termstats
-
-    os.makedirs(out_path, exist_ok=True)
-    buckets = [int(b["bucket"]) for b in base_manifest["buckets"]]
-    dead_ref = ray.put(dead_by_bucket)
-
-    # -- pass 2: rewrite norms + postings files (one task per file)
-    items = []
-    for b in buckets:
-        items.append({"kind": "norms", "bucket": b,
-                      "path": os.path.join(index_path, "norms",
-                                           f"bucket={b:05d}.parquet")})
-    for f in sorted(glob.glob(os.path.join(index_path, "postings", "*.parquet"))):
-        base = os.path.basename(f)
-        b = int(base.split("=")[1].split("_")[0].split(".")[0])
-        items.append({"kind": "postings", "bucket": b, "path": f})
-
-    def rewrite(batch: pa.Table) -> pa.Table:
-        dead_map = ray.get(dead_ref)
-        out_rows = []
-        for row in batch.to_pylist():
-            dead = dead_map.get(row["bucket"], np.empty(0, dtype=np.int64))
-            if row["kind"] == "norms":
-                n_docs, sum_len = _rewrite_norms(row["path"], out_path, dead)
-                out_rows.append({"bucket": row["bucket"], "n_docs": n_docs,
-                                 "sum_len": sum_len, "n_terms": 0})
-            else:
-                n_terms = _rewrite_postings(row["path"], index_path, out_path,
-                                            dead, codec)
-                out_rows.append({"bucket": row["bucket"], "n_docs": 0,
-                                 "sum_len": 0, "n_terms": n_terms})
-        return pa.Table.from_pylist(out_rows)
-
-    rows = (
-        rd.from_items(items, override_num_blocks=len(items))
-        .map_batches(rewrite, batch_format="pyarrow")
-        .take_all()
-    )
-
-    by_bucket: dict[int, dict] = {}
-    for r in rows:
-        agg = by_bucket.setdefault(
-            int(r["bucket"]),
-            {"bucket": int(r["bucket"]), "n_docs": 0, "sum_len": 0, "n_terms": 0})
-        agg["n_docs"] += int(r["n_docs"])
-        agg["sum_len"] += int(r["sum_len"])
-        agg["n_terms"] += int(r["n_terms"])
-    # a fully-dead bucket leaves no files — drop it, like a direct build would
-    bucket_rows = [by_bucket[b] for b in sorted(by_bucket)
-                   if by_bucket[b]["n_docs"] > 0 or by_bucket[b]["n_terms"] > 0]
-
-    write_termstats(out_path, sum(r["n_terms"] for r in bucket_rows))
-
-    manifest = dict(base_manifest)
-    manifest["config"] = dict(manifest.get("config", {}), index_path=out_path)
-    manifest["n_docs"] = sum(r["n_docs"] for r in bucket_rows)
-    manifest["sum_total_term_freq"] = sum(r["sum_len"] for r in bucket_rows)
-    manifest["buckets"] = bucket_rows
-    tmp = os.path.join(out_path, ".manifest.tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=1)
-    os.replace(tmp, os.path.join(out_path, "manifest.json"))
-    return manifest
-
-
-def _rewrite_norms(path: str, out_path: str, dead) -> tuple[int, int]:
-    import numpy as np
-    import pyarrow.compute as pc
-
-    from lucenenet_ray.index.build import _atomic_write_parquet
-
-    if not os.path.exists(path):
-        return 0, 0
-    t = pq.read_table(path)
-    if dead.size:
-        keep = ~np.isin(t.column("doc_id").to_numpy(), dead)
-        t = t.filter(pa.array(keep))
-    if t.num_rows == 0:
-        return 0, 0
-    os.makedirs(os.path.join(out_path, "norms"), exist_ok=True)
-    _atomic_write_parquet(t, os.path.join(out_path, "norms", os.path.basename(path)))
-    return t.num_rows, int(pc.sum(t.column("doc_len")).as_py())
-
-
-def _rewrite_postings(path: str, index_path: str, out_path: str, dead,
-                      codec: str = "vint") -> int:
-    """Filter one postings file's term rows; unchanged rows keep their bytes."""
-    import numpy as np
-
-    from lucenenet_ray.index.build import _atomic_write_parquet
-    from lucenenet_ray.index.codec import decode_docs, decode_freqs, encode_postings
-
-    t = pq.read_table(path)
-    if dead.size == 0:
-        if t.num_rows:
-            os.makedirs(os.path.join(out_path, "postings"), exist_ok=True)
-            _atomic_write_parquet(
-                t, os.path.join(out_path, "postings", os.path.basename(path)),
-                row_group_size=2048)
-        return t.num_rows
-    cols = {c: t.column(c) for c in t.column_names}
-    out_rows = []
-    for i in range(t.num_rows):
-        df = cols["df"][i].as_py()
-        db = cols["doc_bytes"][i].as_py()
-        docs = decode_docs(db, df, codec=codec)
-        mask = ~np.isin(docs, dead)
-        if mask.all():
-            out_rows.append({c: cols[c][i].as_py() for c in t.column_names})
-            continue
-        if not mask.any():
-            continue  # term fully deleted
-        freqs = decode_freqs(cols["freq_bytes"][i].as_py(), df,
-                             codec=codec, doc_bytes=db)
-        def _filter_runs(stream_b: bytes) -> bytes:
-            # per-doc runs are self-contained byte segments: filter by
-            # terminator-scan + segment gather, never decoding values —
-            # identical treatment for position AND payload streams
-            if not stream_b:
-                return b""
-            pb = np.frombuffer(stream_b, dtype=np.uint8)
-            ends_idx = np.flatnonzero((pb & 0x80) == 0)
-            vbound = np.cumsum(freqs.astype(np.int64))
-            seg_end = ends_idx[vbound - 1] + 1
-            seg_start = np.concatenate(([0], seg_end[:-1]))
-            keep_segs = np.flatnonzero(mask)
-            parts = [pb[seg_start[j]:seg_end[j]] for j in keep_segs]
-            return np.concatenate(parts).tobytes() if parts else b""
-
-        new_pos = _filter_runs(cols["pos_bytes"][i].as_py())
-        has_pay = "pay_bytes" in t.column_names
-        new_pay = (_filter_runs(cols["pay_bytes"][i].as_py())
-                   if has_pay else b"")
-        # kept docs' norm bytes are unchanged by the expunge: look them up in
-        # the ORIGINAL norms file (body norm byte is attached to every term's
-        # postings, field-prefixed included — Inverter pair_norm)
-        norms = _norms_for(path, index_path)  # (doc_ids asc, norm uint8)
-        nsel = norms[1][np.searchsorted(norms[0], docs[mask])]
-        enc = encode_postings(docs[mask], freqs[mask], nsel, None, codec=codec)
-        out_rows.append({
-            "bucket": cols["bucket"][i].as_py(),
-            "term": cols["term"][i].as_py(),
-            "df": int(mask.sum()),
-            "ttf": int(freqs[mask].sum()),
-            "max_freq": int(freqs[mask].max()),
-            "max_norm": int(nsel.max()) if nsel.size else 0,
-            "doc_bytes": enc["doc_bytes"],
-            "freq_bytes": enc["freq_bytes"],
-            "pos_bytes": new_pos,
-            **({"pay_bytes": new_pay} if has_pay else {}),
-            "block_last_doc": enc["block_last_doc"].tolist(),
-            "block_doc_off": enc["block_doc_off"].tolist(),
-            "block_freq_off": enc["block_freq_off"].tolist(),
-            "block_max_freq": enc["block_max_freq"].tolist(),
-            "block_max_norm": enc["block_max_norm"].tolist(),
-            **({"skip1_last_doc": enc["skip1_last_doc"].tolist(),
-                "skip1_max_freq": enc["skip1_max_freq"].tolist(),
-                "skip1_max_norm": enc["skip1_max_norm"].tolist()}
-               if "skip1_last_doc" in t.column_names else {}),
-        })
-    if not out_rows:
-        return 0
-    out_t = pa.Table.from_pylist(out_rows, schema=t.schema)
-    os.makedirs(os.path.join(out_path, "postings"), exist_ok=True)
-    _atomic_write_parquet(
-        out_t, os.path.join(out_path, "postings", os.path.basename(path)),
-        row_group_size=2048)
-    return out_t.num_rows
-
-
-_NORMS_CACHE: dict[str, tuple] = {}
-
-
-def _norms_for(postings_path: str, index_path: str):
-    """(doc_ids asc, norm uint8) from the ORIGINAL norms file for this
-    postings file's bucket — cached per process. Live docs keep their norm
-    bytes, so lookups against the pre-expunge file are exact."""
-    import numpy as np
-
-    base = os.path.basename(postings_path)
-    bucket = int(base.split("=")[1].split("_")[0].split(".")[0])
-    key = f"{index_path}:{bucket}"
-    if key not in _NORMS_CACHE:
-        p = os.path.join(index_path, "norms", f"bucket={bucket:05d}.parquet")
-        t = pq.read_table(p)
-        _NORMS_CACHE[key] = (
-            t.column("doc_id").to_numpy().astype(np.int64),
-            t.column("norm").to_numpy().astype(np.uint8),
-        )
-    return _NORMS_CACHE[key]
+    if deletes_path is None:
+        deletes_path = os.path.join(index_path, "deletes")
+    return merge_indexes([(index_path, deletes_path)], out_path)

@@ -11,6 +11,11 @@ feeds them to the build's own ``_merge_write_group`` reducer, and the build's
 termstats + manifest tail finishes the index. A merged index is therefore
 byte-identical to the direct build of the same documents.
 
+A source may name dead docs (a tombstone log, or docID sets per bucket);
+its bucket tasks drop them from the wire rows. That is the one postings
+rewrite behind ``expunge_deletes``, the index splitters and
+``IndexWriter`` merges, so each of them is one ``merge_indexes`` call.
+
 ``build_index_incremental`` is the checkpoint-resume story (north rule:
 "resumable from checkpoint with per-partition lineage"): the input is a list
 of shards; each shard builds its own complete index generation under
@@ -28,11 +33,13 @@ import shutil
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from lucenenet_ray.index.build import (
     DOCLEN_TERM,
     IndexConfig,
+    _grouped_take,
     _hash_shuffle_merge_write,
     build_index,
     finish_index,
@@ -40,17 +47,27 @@ from lucenenet_ray.index.build import (
     wire_table,
 )
 from lucenenet_ray.index.codec import decode_docs, decode_freqs
+from lucenenet_ray.index.deletes import load_deleted_terms
 
 # config fields that must agree across merged sources: they fix the file
 # layout, the postings encoding and the wire-row schema
 _LAYOUT_KEYS = ("n_buckets", "n_hparts", "codec", "store_positions",
                 "payloads")
+# per-doc sidecar directories a merge does not rewrite
+_SIDECARS = ("bloom", "docvalues", "termvectors")
 
 
-def _wire_rows(index_path: str, bucket: int, n_hparts: int,
-               codec: str) -> pa.Table:
+def _wire_rows(index_path: str, bucket: int, n_hparts: int, codec: str,
+               dead_terms: tuple[str, ...], dead_docs: np.ndarray) -> pa.Table:
     """One source bucket → the Inverter's shuffle-wire rows: one row per
-    postings chunk, then the bucket's doc-length sentinel row."""
+    postings chunk, then the bucket's doc-length sentinel row.
+
+    Dead docs are dropped on the way (liveDocs applied, as Lucene's
+    ``SegmentMerger`` does): ``dead_docs`` plus every doc of a chunk whose
+    term is in ``dead_terms`` (a tombstone log resolved against the chunks
+    decoded here). Their docs, freqs, norms and position/payload runs go;
+    a chunk left with no live doc goes, and a bucket with no live doc
+    yields no rows."""
     norms = pq.read_table(
         os.path.join(index_path, "norms", f"bucket={bucket:05d}.parquet"))
     doc_ids = norms.column("doc_id").to_numpy().astype(np.int64)
@@ -71,6 +88,16 @@ def _wire_rows(index_path: str, bucket: int, n_hparts: int,
         pos_rows = post.column("pos_bytes").to_pylist()
         if has_pay:
             pay_rows = post.column("pay_bytes").to_pylist()
+        if dead_terms:
+            hit = pc.is_in(post.column("term"),
+                           value_set=pa.array(dead_terms, type=pa.string()))
+            dead_docs = np.concatenate(
+                [dead_docs] + [docs[i] for i in np.flatnonzero(hit)])
+    if len(dead_docs):
+        live = ~np.isin(doc_ids, dead_docs)
+        norms, doc_ids = norms.filter(pa.array(live)), doc_ids[live]
+        terms, dfs, docs, freqs, pos_rows, pay_rows = _drop_docs(
+            terms, dfs, docs, freqs, pos_rows, pay_rows, dead_docs)
     all_docs = np.concatenate(docs + [doc_ids])
     # per-doc norm bytes: chunk docs are looked up in the bucket's norms
     idx = np.searchsorted(doc_ids, all_docs)
@@ -78,18 +105,59 @@ def _wire_rows(index_path: str, bucket: int, n_hparts: int,
             and np.array_equal(doc_ids[idx], all_docs)):
         raise ValueError(f"{index_path} bucket {bucket}: postings name docs "
                          "absent from its norms file")
-    n_rows = len(terms) + 1
+    sentinel = [DOCLEN_TERM] if len(doc_ids) else []
     return wire_table(
-        pa.array(terms + [DOCLEN_TERM], type=pa.string()),
-        np.full(n_rows, bucket, dtype=np.int64),
-        np.array([term_hpart(t, n_hparts) for t in terms] + [0],
-                 dtype=np.int64),
-        np.array(dfs + [len(doc_ids)], dtype=np.int64),
+        pa.array(terms + sentinel, type=pa.string()),
+        np.full(len(terms) + len(sentinel), bucket, dtype=np.int64),
+        np.array([term_hpart(t, n_hparts) for t in terms]
+                 + [0] * len(sentinel), dtype=np.int64),
+        np.array(dfs + [len(doc_ids)] * len(sentinel), dtype=np.int64),
         all_docs,
         np.concatenate(freqs + [norms.column("doc_len").to_numpy()]),
         norms.column("norm").to_numpy().astype(np.uint8)[idx],
-        pos_rows + [b""],
-        pay_rows + [b""] if has_pay else None)
+        pos_rows + [b""] * len(sentinel),
+        pay_rows + [b""] * len(sentinel) if has_pay else None)
+
+
+def _drop_docs(terms, dfs, docs, freqs, pos_rows, pay_rows, dead_docs):
+    """Drop a dead-doc set from one bucket's decoded chunks; a chunk left
+    with no live doc goes. Position and payload runs are cut by a
+    terminator scan plus a byte-segment gather (each doc's run is a
+    self-contained VInt segment of ``freq`` values), never decoded."""
+    flat_docs = np.concatenate(docs) if docs else np.empty(0, np.int64)
+    flat_freqs = (np.concatenate(freqs).astype(np.int64) if freqs
+                  else np.empty(0, np.int64))
+    keep = ~np.isin(flat_docs, dead_docs)
+    chunk_of = np.repeat(np.arange(len(terms)), dfs)
+    live_df = np.bincount(chunk_of[keep], minlength=len(terms))
+    live = np.flatnonzero(live_df)
+    # kept-pair bounds of each live chunk
+    bounds = np.concatenate(([0], np.cumsum(live_df[live])))
+
+    def cut_runs(rows: list[bytes]) -> list[bytes]:
+        stream = np.frombuffer(b"".join(rows), dtype=np.uint8)
+        if not stream.size:
+            return [b""] * len(live)
+        ends = np.flatnonzero((stream & 0x80) == 0)
+        if ends.size != flat_freqs.sum():
+            raise ValueError(f"run stream corrupt: {ends.size} values, "
+                             f"expected {int(flat_freqs.sum())}")
+        run_end = ends[np.cumsum(flat_freqs) - 1] + 1
+        run_start = np.concatenate(([0], run_end[:-1]))
+        run_len = (run_end - run_start)[keep]
+        kept = stream[_grouped_take(run_start[keep], run_len)].tobytes()
+        offs = np.concatenate(([0], np.cumsum(run_len)))[bounds]
+        return [kept[offs[i]:offs[i + 1]] for i in range(len(live))]
+
+    kept_docs, kept_freqs = flat_docs[keep], flat_freqs[keep]
+    return (
+        [terms[i] for i in live],
+        live_df[live].tolist(),
+        [kept_docs[bounds[i]:bounds[i + 1]] for i in range(len(live))],
+        [kept_freqs[bounds[i]:bounds[i + 1]] for i in range(len(live))],
+        cut_runs(pos_rows),
+        cut_runs(pay_rows) if pay_rows else [],
+    )
 
 
 def _merge_ranges(ranges: list[list[int]]) -> list[list[int]]:
@@ -103,18 +171,27 @@ def _merge_ranges(ranges: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def merge_indexes(index_paths: list[str], out_path: str) -> dict:
+def merge_indexes(sources: list, out_path: str) -> dict:
     """Combine complete same-layout indexes into one (AddIndexes analog):
     one task per source bucket re-derives its wire rows, then the build's
-    exchange, reducer and termstats/manifest tail write ``out_path``."""
+    exchange, reducer and termstats/manifest tail write ``out_path``.
+
+    A source is an index path, or a ``(path, dead)`` pair whose dead docs
+    the merge drops — ``AddIndexes`` over readers with liveDocs. ``dead`` is
+    a tombstone-log directory (delete-by-term, ``index/deletes.py``) or a
+    ``{bucket: docIDs}`` map. Sidecars (term vectors, docvalues, bloom) are
+    not carried; the manifest names the dropped ones."""
     import ray
 
-    manifests = []
-    for p in index_paths:
+    index_paths, deads, manifests = [], [], []
+    for src in sources:
+        p, dead = src if isinstance(src, tuple) else (src, None)
         if os.path.realpath(p) == os.path.realpath(out_path):
             raise ValueError(f"cannot merge {p} into itself")
         with open(os.path.join(p, "manifest.json")) as f:
             manifests.append(json.load(f))
+        index_paths.append(p)
+        deads.append(dead)
     cfg0 = manifests[0]["config"]
     for m in manifests[1:]:
         for k in _LAYOUT_KEYS:
@@ -130,6 +207,7 @@ def merge_indexes(index_paths: list[str], out_path: str) -> dict:
         "index_path": out_path,
         "id_min": min(m["config"]["id_min"] for m in manifests),
         "id_max": max(m["config"]["id_max"] for m in manifests),
+        "store_term_vectors": False,
     }
     codec = cfg0.get("codec", "vint")
     cfg = IndexConfig(index_path=out_path, id_min=config["id_min"],
@@ -142,8 +220,15 @@ def merge_indexes(index_paths: list[str], out_path: str) -> dict:
         shutil.rmtree(os.path.join(out_path, sub), ignore_errors=True)
     os.makedirs(out_path, exist_ok=True)
     wire = ray.remote(_wire_rows)
-    refs = [wire.remote(p, int(b["bucket"]), cfg.n_hparts, codec)
-            for p, m in zip(index_paths, manifests) for b in m["buckets"]]
+    no_docs = np.empty(0, dtype=np.int64)
+    refs = []
+    for p, m, dead in zip(index_paths, manifests, deads):
+        dead_terms = load_deleted_terms(dead) if isinstance(dead, str) else ()
+        dead_docs = dead if isinstance(dead, dict) else {}
+        for b in m["buckets"]:
+            b = int(b["bucket"])
+            refs.append(wire.remote(p, b, cfg.n_hparts, codec, dead_terms,
+                                    dead_docs.get(b, no_docs)))
     rows = _hash_shuffle_merge_write(refs, cfg, cfg.store_positions)
     return finish_index(
         out_path, config, rows,
@@ -155,7 +240,9 @@ def merge_indexes(index_paths: list[str], out_path: str) -> dict:
             for r in m.get("id_ranges",
                            [[m["config"]["id_min"], m["config"]["id_max"]]])
         ]),
-        merged_from=index_paths)
+        merged_from=index_paths,
+        dropped_sidecars=sorted({s for p in index_paths for s in _SIDECARS
+                                 if os.path.isdir(os.path.join(p, s))}))
 
 
 def build_index_incremental(shards: list[tuple[str, "object"]], out_path: str,

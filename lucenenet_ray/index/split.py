@@ -15,18 +15,17 @@ Reference semantics re-expressed (NOT ported):
   ``i % n`` (the reference emulates this with FakeDeleteIndexReader masks
   — exactly the dead-set rewrite used here).
 
-Both reuse the expunge machinery (``deletes.rewrite_without_docs`` — the
-SegmentMerger-applying-liveDocs core, byte-identical to a direct build of
-the surviving docs), so each output is a fully self-contained index with
-recomputed stats: one distributed rewrite pass per output, dead sets
-broadcast once via ``ray.put``.
+Each output is one ``merge_indexes`` call over the source with the other
+outputs' docs as its dead set (the merge drops them — SegmentMerger
+applying liveDocs), so each output is a self-contained index with
+recomputed stats, byte-identical to a direct build of its docs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from lucenenet_ray.index.deletes import rewrite_without_docs
+from lucenenet_ray.index.merge_indexes import merge_indexes
 
 
 def _matches_by_bucket(reader, first_filter) -> dict[int, np.ndarray]:
@@ -52,18 +51,14 @@ def split_index(index_path: str, out1: str, out2: str, first_filter):
     from lucenenet_ray.search.reader import IndexReader
 
     reader = IndexReader(index_path, deletes_path="/nonexistent")
-    codec = reader.manifest.get("config", {}).get("codec", "vint")
     match = _matches_by_bucket(reader, first_filter)
     dead1, dead2 = {}, {}
     for b in reader.bucket_ids:
         all_docs = reader.bucket(b).norms()[0]
         dead1[b] = np.setdiff1d(all_docs, match[b])  # out1 keeps matches
         dead2[b] = match[b]                          # out2 keeps the rest
-    m1 = rewrite_without_docs(index_path, out1, dead1, codec,
-                              reader.manifest)
-    m2 = rewrite_without_docs(index_path, out2, dead2, codec,
-                              reader.manifest)
-    return m1, m2
+    return (merge_indexes([(index_path, dead1)], out1),
+            merge_indexes([(index_path, dead2)], out2))
 
 
 def split_index_round_robin(index_path: str, outputs: list[str]):
@@ -72,7 +67,6 @@ def split_index_round_robin(index_path: str, outputs: list[str]):
     from lucenenet_ray.search.reader import IndexReader
 
     reader = IndexReader(index_path, deletes_path="/nonexistent")
-    codec = reader.manifest.get("config", {}).get("codec", "vint")
     n = len(outputs)
     # global position = offset of the bucket + local row (buckets are
     # ascending id ranges, docs ascending inside)
@@ -88,6 +82,5 @@ def split_index_round_robin(index_path: str, outputs: list[str]):
             docs = reader.bucket(b).norms()[0]
             gpos = offsets[b] + np.arange(docs.size, dtype=np.int64)
             dead[b] = docs[(gpos % n) != part]
-        manifests.append(rewrite_without_docs(index_path, out, dead, codec,
-                                              reader.manifest))
+        manifests.append(merge_indexes([(index_path, dead)], out))
     return manifests

@@ -487,15 +487,15 @@ def dataset_split(index_path: str, out_train: str, out_test: str,
                   out_cv: str, test_ratio: float = 0.2,
                   cv_ratio: float = 0.1):
     """Split one index into train/test/cross-validation indexes
-    (DatasetSplitter.cs Split) via the liveDocs rewrite core
-    (deletes.rewrite_without_docs — each output is a self-contained index
-    with recomputed stats).  Returns the three manifests (train, test, cv).
+    (DatasetSplitter.cs Split): one ``merge_indexes`` call per output,
+    the other splits' docs dropped as its dead set — each output is a
+    self-contained index with recomputed stats.  Returns the three
+    manifests (train, test, cv).
     """
-    from lucenenet_ray.index.deletes import rewrite_without_docs
+    from lucenenet_ray.index.merge_indexes import merge_indexes
     from lucenenet_ray.search.reader import IndexReader
 
     reader = IndexReader(index_path, deletes_path="/nonexistent")
-    codec = reader.manifest.get("config", {}).get("codec", "vint")
     buckets = sorted(reader.bucket_ids)
     per_bucket = {b: reader.bucket(b).norms()[0] for b in buckets}
     size = sum(d.size for d in per_bucket.values())
@@ -512,6 +512,5 @@ def dataset_split(index_path: str, out_train: str, out_test: str,
             docs = per_bucket[b]
             a = assign[pos0[b]:pos0[b] + docs.size]
             dead[b] = docs[a != split_id]
-        manifests.append(rewrite_without_docs(index_path, out, dead, codec,
-                                              reader.manifest))
+        manifests.append(merge_indexes([(index_path, dead)], out))
     return manifests

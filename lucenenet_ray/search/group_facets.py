@@ -85,7 +85,7 @@ def group_facets(hit_doc_ids, docs_path: str, *, group_field: str = "source",
     import ray
     import ray.data as rd
 
-    hits = np.asarray(sorted(int(d) for d in hit_doc_ids), dtype=np.int64)
+    hits = np.sort(np.fromiter(hit_doc_ids, dtype=np.int64))
     hits_ref = ray.put(hits)
 
     cols = ["doc_id", group_field]

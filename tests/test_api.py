@@ -142,3 +142,30 @@ def test_stored_fields_doc_retrieval(ray_session, tmp_path):
     s2 = w.searcher()
     assert s2.doc(2)["text"] == "gamma delta"
     assert s2.doc(0)["title"] == "Doc Zero"
+
+
+def test_force_merge_drops_fully_deleted_source(ray_session, tmp_path):
+    """A source whose every doc is deleted is dropped inside the merge:
+    the other source's survivors land in one merged shard with reclaimed
+    stats, and the merge leaves no temporary index dirs."""
+    import os
+
+    from lucenenet_ray.api import IndexSearcher, IndexWriter
+
+    root = str(tmp_path / "w")
+    w = IndexWriter(root, n_buckets=2)
+    w.add_documents(_docs(["gone alpha", "gone beta"]))
+    w.commit()
+    w.add_documents(_docs(["keep gamma", "gone delta", "keep epsilon"]))
+    w.commit()
+    w.delete_documents("gone")
+    w.force_merge(1)
+
+    assert w.num_shards == 1
+    r = w.reader()
+    assert r.num_docs == 2  # the tombstoned docs no longer count
+    assert IndexSearcher(r).search("keep", n=10).docs.tolist() == [2, 4]
+    assert IndexSearcher(r).search("gone", n=10).total_hits == 0
+    shards = os.listdir(os.path.join(root, "shards"))
+    assert not [d for d in shards if d.startswith(".exp_")]
+    assert os.path.basename(w._m["shards"][0]["path"]).startswith("merged_")

@@ -142,3 +142,78 @@ def test_expunge_matches_direct_build(documents_index, corpus, tmp_path,
     te, tdq = search(r_e, q, k=20), search(r_d, q, k=20)
     assert te.docs.tolist() == tdq.docs.tolist()
     assert [float(x) for x in te.scores] == [float(x) for x in tdq.scores]
+
+
+def _small_index(path, texts, deletes=None, **kw):
+    """Build (doc_id, text) rows at ``path`` with a fixed 4-bucket layout
+    over ids 0..39 (bucket b holds ids 10b..10b+9)."""
+    import shutil
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from lucenenet_ray.index.build import IndexConfig, build_index
+
+    shutil.rmtree(path, ignore_errors=True)
+    ids = sorted(texts)
+    t = pa.table({"doc_id": pa.array(ids, type=pa.int64()),
+                  "text": [texts[i] for i in ids]})
+    cfg = IndexConfig(index_path=path, id_min=0, id_max=39, n_buckets=4,
+                      **kw)
+    build_index(rd.from_arrow(t), cfg)
+    return path
+
+
+def _survivors(texts, term):
+    from lucenenet_ray.analysis import analyze
+
+    return {i: x for i, x in texts.items() if term not in analyze(x)[0]}
+
+
+def test_expunge_fully_deleted_bucket(ray_session, tmp_path):
+    """Every doc of bucket 0 is tombstoned (and a few elsewhere): the
+    expunged index equals the direct build of the survivors and bucket 0
+    leaves no files."""
+    kw = dict(n_hparts=2, payloads="offset")
+    texts = {i: ("zap " if i < 10 or i % 7 == 0 else "")
+             + f"spark window w{i % 5} merge batch"
+             for i in range(40)}
+    src = _small_index(str(tmp_path / "src"), texts, **kw)
+    ddir = str(tmp_path / "dels")
+    delete_documents(ddir, ["zap"])
+    out = str(tmp_path / "expunged")
+    man = expunge_deletes(src, out, deletes_path=ddir)
+
+    live = _survivors(texts, "zap")
+    direct = _small_index(str(tmp_path / "direct"), live, **kw)
+    assert man["n_docs"] == len(live)
+    assert [b["bucket"] for b in man["buckets"]] == [1, 2, 3]
+    assert _index_digest(out) == _index_digest(direct)
+    for sub in ("postings", "norms"):
+        assert not [f for f in os.listdir(os.path.join(out, sub))
+                    if f.startswith("bucket=00000")]
+
+
+def test_expunge_after_rebuild_at_same_path(ray_session, tmp_path):
+    """An index rebuilt with different docs at a path that was already
+    expunged once expunges to the direct build of its own survivors (no
+    per-process state keyed by path survives the rebuild)."""
+    src = str(tmp_path / "src")
+    first = {i: ("zap " if i % 2 else "") + "alpha" for i in range(40)}
+    _small_index(src, first)
+    d1 = str(tmp_path / "dels1")
+    delete_documents(d1, ["zap"])
+    expunge_deletes(src, str(tmp_path / "out1"), deletes_path=d1)
+
+    second = {i: ("zap " if i % 3 == 0 else "") + "gamma " * (i % 4 + 3)
+              + "epsilon" for i in range(1, 40, 2)}
+    _small_index(src, second)
+    d2 = str(tmp_path / "dels2")
+    delete_documents(d2, ["zap"])
+    out2 = str(tmp_path / "out2")
+    man = expunge_deletes(src, out2, deletes_path=d2)
+
+    live = _survivors(second, "zap")
+    direct = _small_index(str(tmp_path / "direct"), live)
+    assert man["n_docs"] == len(live)
+    assert _index_digest(out2) == _index_digest(direct)

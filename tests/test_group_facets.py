@@ -102,3 +102,16 @@ def test_driver_state_is_label_bounded(docs_path):
     assert res.entries == [("a", 3), ("b", 1)]
     n_labels = 3  # facets: a, b, '' (missing arm)
     assert seen and all(n <= n_labels for n in seen), seen
+
+
+def test_numpy_hits_equal_generator_hits(docs_path):
+    """A numpy id array and a generator of the same (unsorted) ids feed
+    the collector the same hit set."""
+    import numpy as np
+
+    ids = [7, 2, 0, 5, 3]
+    a = group_facets(np.array(ids, dtype=np.int64), docs_path)
+    g = group_facets((i for i in ids), docs_path)
+    assert a.entries == g.entries == [("a", 2), ("b", 1)]
+    assert (a.total_count, a.total_missing_count) == \
+        (g.total_count, g.total_missing_count)

@@ -144,3 +144,37 @@ def test_merge_rejects_mismatched_layouts(ray_session, tmp_path, key, value):
     with pytest.raises(ValueError, match=key):
         merge_indexes([a, b], out)
     assert not os.path.exists(os.path.join(out, "postings"))
+
+
+def test_merge_outputs_state_dropped_sidecars(ray_session, tmp_path):
+    """Merge, expunge and split outputs carry no term-vector sidecar: the
+    config says store_term_vectors=False and the manifest names the
+    source sidecars that were dropped."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from lucenenet_ray.index.deletes import delete_documents, expunge_deletes
+    from lucenenet_ray.index.merge_indexes import merge_indexes
+    from lucenenet_ray.index.split import split_index
+
+    ids = list(range(0, 40))
+    ds = rd.from_arrow(pa.table({
+        "doc_id": pa.array(ids, type=pa.int64()),
+        "text": [f"spark window t{i % 4}" for i in ids]}))
+    src = _build(ds, str(tmp_path / "src"), id_max=39,
+                 store_term_vectors=True)
+    assert os.path.isdir(os.path.join(src, "termvectors"))
+    plain = _build(ds, str(tmp_path / "plain"), id_max=39)
+
+    ddir = str(tmp_path / "dels")
+    delete_documents(ddir, ["t1"])
+    outs = [merge_indexes([src], str(tmp_path / "merged")),
+            expunge_deletes(src, str(tmp_path / "exp"), deletes_path=ddir),
+            *split_index(src, str(tmp_path / "lo"), str(tmp_path / "hi"), 20)]
+    for m in outs:
+        out = m["config"]["index_path"]
+        assert m["config"]["store_term_vectors"] is False
+        assert m["dropped_sidecars"] == ["termvectors"]
+        assert not os.path.exists(os.path.join(out, "termvectors"))
+    assert merge_indexes([plain], str(tmp_path / "m2"))[
+        "dropped_sidecars"] == []

@@ -19,8 +19,10 @@ DocumentsWriterPerThread → flush → SegmentMerger path):
             = sorted row groups, SURVEY §2.5), norms/bucket=NNNNN.parquet
       → termstats + manifest.json
 
-``merge_indexes`` (AddIndexes) feeds already-built indexes through the same
-exchange and reducer, so a sharded build writes the direct build's bytes.
+``build_index_incremental`` checkpoints the map output shard by shard and
+then runs the same one exchange and reducer over every shard's rows;
+``merge_indexes`` (AddIndexes) feeds already-built indexes through them. Both
+write the direct build's bytes.
 
 DocIDs are caller-provided int64s (deterministic — unlike Lucene's
 thread-timing-dependent docIDs, SURVEY §4 "ordering/determinism"); buckets are
@@ -35,7 +37,7 @@ import functools
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pyarrow as pa
@@ -852,6 +854,7 @@ def _hash_shuffle_merge_write(block_refs, cfg: IndexConfig,
     ``block_refs`` yields object refs of shuffle-wire tables (the Inverter's
     output schema). ``build_index`` streams the inverter's output blocks
     (``iter_internal_ref_bundles`` — no materialize barrier);
+    ``build_index_incremental`` streams its shards' checkpointed rows, and
     ``merge_indexes`` passes the wire rows re-derived from built indexes.
     Map side: groups of blocks are handed to split tasks that partition
     rows into P tables by ``(bucket * n_hparts + hpart) % P`` (num_returns=P
@@ -920,9 +923,6 @@ def _hash_shuffle_merge_write(block_refs, cfg: IndexConfig,
 
     @ray.remote
     def reduce_part(index_path: str, store_pos_: bool, *tables):
-        import time as _t
-
-        t_start = _t.perf_counter()
         tabs = []
         for tb in tables:
             if tb is None:
@@ -941,44 +941,17 @@ def _hash_shuffle_merge_write(block_refs, cfg: IndexConfig,
             * cfg.n_hparts
             + t.column("hpart").to_numpy(zero_copy_only=False).astype(np.int64)
         )
-        t_concat = _t.perf_counter()
         out_rows = []
-        prof_dir = os.environ.get("GRAFT_CPROFILE_REDUCE")
         for kv in np.unique(key):
-            g = t.filter(pa.array(key == kv))
-            if prof_dir:
-                import cProfile
-
-                pr = cProfile.Profile()
-                pr.enable()
-                m = _merge_write_group(g, store_pos_, index_path, cfg.codec)
-                pr.disable()
-                pr.dump_stats(os.path.join(prof_dir, f"red_{int(kv)}.prof"))
-            else:
-                m = _merge_write_group(g, store_pos_, index_path, cfg.codec)
+            m = _merge_write_group(t.filter(pa.array(key == kv)), store_pos_,
+                                   index_path, cfg.codec)
             out_rows.append({c: m.column(c)[0].as_py() for c in m.column_names})
-        if os.environ.get("GRAFT_PROF_REDUCE"):
-            import sys as _sys
-
-            print(f"[red] concat={t_concat-t_start:.2f}s "
-                  f"merge+write={_t.perf_counter()-t_concat:.2f}s "
-                  f"rows={t.num_rows}", file=_sys.stderr)
         return out_rows
 
-    import sys
-    import time as _time
-
-    prof = os.environ.get("GRAFT_PROFILE")
-    t0 = _time.perf_counter()
     split_refs: list = []
     raw_refs: list = []
     group: list = []
-    n_blocks = 0
-    t_first = None
     for bref in block_refs:
-        if t_first is None:
-            t_first = _time.perf_counter() - t0
-        n_blocks += 1
         if n_parts == 1:
             raw_refs.append(bref)
             continue
@@ -994,18 +967,6 @@ def _hash_shuffle_merge_write(block_refs, cfg: IndexConfig,
             split_block.options(num_returns=n_parts, num_cpus=SPLIT_CPUS)
             .remote(n_parts, *group)
         )
-    if prof:
-        print(f"[prof]   map stream drained: {_time.perf_counter()-t0:.1f}s "
-              f"({len(split_refs)} split tasks; first block at "
-              f"{t_first if t_first is not None else -1:.1f}s, "
-              f"{n_blocks} blocks)", file=sys.stderr)
-        t0 = _time.perf_counter()
-    if prof and n_parts > 1 and split_refs:
-        # how much of the tail is the LAST split tasks still running?
-        ray.wait([sr[0] for sr in split_refs], num_returns=len(split_refs),
-                 fetch_local=False)
-        print(f"[prof]   splits settled: +{_time.perf_counter()-t0:.1f}s",
-              file=sys.stderr)
     if n_parts == 1:
         # no split needed: hand the map blocks straight to the one reducer
         # (num_returns=1 would wrap the 1-tuple as a single object)
@@ -1019,9 +980,6 @@ def _hash_shuffle_merge_write(block_refs, cfg: IndexConfig,
     rows: list[dict] = []
     for rr in ray.get(result_refs):
         rows.extend(rr)
-    if prof:
-        print(f"[prof]   reduce tail: {_time.perf_counter()-t0:.1f}s",
-              file=sys.stderr)
     return rows
 
 
@@ -1099,6 +1057,24 @@ def finish_index(index_path: str, config: dict, rows: list[dict],
     return manifest
 
 
+def _inverted(ds, cfg: IndexConfig, text_col: str, id_col: str):
+    """The build's map step: ``ds`` → the Inverter's shuffle-wire rows,
+    task-mode on the shared worker pool (analyzer cached per process)."""
+    return ds.map_batches(
+        functools.partial(
+            invert_batch_fn, cfg=cfg, text_col=text_col, id_col=id_col
+        ),
+        batch_format="pyarrow",
+        batch_size=cfg.batch_size,
+    )
+
+
+def _block_refs(ds):
+    """Stream a Dataset's block refs (no materialize barrier)."""
+    return (ref for bundle in ds.iter_internal_ref_bundles()
+            for ref in bundle.block_refs)
+
+
 def build_index(
     ds,
     cfg: IndexConfig,
@@ -1108,48 +1084,96 @@ def build_index(
     """Run the full index build; returns the manifest dict.
 
     ``ds`` is a ray.data.Dataset with at least (id_col:int64, text_col:str).
-    Never calls ray.init (caller owns the session).
+    Never calls ray.init (caller owns the session). The map streams into
+    ONE exchange (no materialize barrier): each (bucket, hpart) reducer
+    merges its term chunks and writes its index file directly. Ray Data's
+    groupby is a full SORT shuffle, which at 32 CPUs cost more wall time
+    than all the map compute combined; the build needs partitioning, not
+    order, hence the raw-Ray hash exchange (``_hash_shuffle_merge_write``).
     """
-    # Task-mode inverter on the shared worker pool (warm processes, analyzer
-    # cached per process).
-    partials = ds.map_batches(
-        functools.partial(
-            invert_batch_fn, cfg=cfg, text_col=text_col, id_col=id_col
-        ),
-        batch_format="pyarrow",
-        batch_size=cfg.batch_size,
-    )
-
-    # ONE exchange: each (bucket, hpart) reducer merges its term chunks AND
-    # writes its index file directly (atomic temp+rename — idempotent under
-    # retries). The term dictionary is per-(bucket,hpart)-file sorted; a
-    # term's chunk lives in exactly one hpart, so lookups stay pushdown-able.
-    #
-    # The exchange is a raw-Ray HASH shuffle (split each map block into P
-    # partition tables, reducers concat their slice), STREAMED against the
-    # map stage — split tasks launch as inverter blocks complete, so no
-    # materialize() barrier sits between map and exchange. Ray Data's groupby
-    # is a full SORT shuffle, which at 32 CPUs cost more wall time than all
-    # the map compute combined; we only need partitioning, not order. This is
-    # the documented drop-to-ray-core case: the Dataset API has no sortless
-    # keyed exchange.
-    import sys
-    import time as _time
-
-    prof = os.environ.get("GRAFT_PROFILE")
-    t0 = _time.perf_counter()
     rows = _hash_shuffle_merge_write(
-        (ref for bundle in partials.iter_internal_ref_bundles()
-         for ref in bundle.block_refs),
-        cfg, cfg.store_positions)
-    if prof:
-        print(f"[prof] map+exchange (streamed): {_time.perf_counter()-t0:.1f}s",
-              file=sys.stderr)
-        if os.environ.get("GRAFT_PROFILE_STATS"):
-            print(partials.stats(), file=sys.stderr)
-        t0 = _time.perf_counter()
-    manifest = finish_index(cfg.index_path, asdict(cfg), rows)
-    if prof:
-        print(f"[prof] termstats+manifest: {_time.perf_counter()-t0:.1f}s",
-              file=sys.stderr)
-    return manifest
+        _block_refs(_inverted(ds, cfg, text_col, id_col)), cfg,
+        cfg.store_positions)
+    return finish_index(cfg.index_path, asdict(cfg), rows)
+
+
+# a shard checkpoint's marker, written last: its presence means every
+# wire-row file of the shard is in place
+CHECKPOINT = "_checkpoint.json"
+
+
+def build_index_incremental(shards: list[tuple[str, "object"]], out_path: str,
+                            cfg_template: IndexConfig,
+                            text_col: str = "text",
+                            id_col: str = "doc_id") -> dict:
+    """Shard-at-a-time resumable build, ending in the build's one reduce.
+
+    Each ``(name, dataset_factory)`` shard runs ``build_index``'s map and
+    checkpoints the wire rows as parquet in ``<out_path>/shards/<name>``
+    (written to ``<name>.tmp``, marker last, then renamed). A rerun SKIPS
+    every shard whose marker exists under the same config, so a killed run
+    loses at most one shard's map. Then every shard's wire rows stream
+    through ``build_index``'s exchange and reducer, and ``finish_index``
+    writes termstats and the one manifest with per-shard ``shard_lineage``:
+    each posting is encoded once, into ``build_index``'s bytes for the
+    union of the (docID-disjoint) shards.
+
+    ``dataset_factory`` is a zero-arg callable returning the shard's Dataset
+    (lazy so skipped shards never read their input).
+    """
+    import glob
+    import shutil
+    import time
+    from dataclasses import replace
+
+    import ray.data as rd
+
+    cfg = replace(cfg_template, index_path=out_path)
+    # what the wire rows depend on: rows made under another config (bucket
+    # layout, analyzer fields, ...) are rebuilt, not reused
+    spec = json.loads(json.dumps(
+        [asdict(replace(cfg, index_path="")), text_col, id_col]))
+    os.makedirs(out_path, exist_ok=True)
+
+    lineage, files = [], []
+    for name, factory in shards:
+        shard_dir = os.path.join(out_path, "shards", name)
+        try:
+            with open(os.path.join(shard_dir, CHECKPOINT)) as f:
+                marker = json.load(f)
+        except FileNotFoundError:
+            marker = {}
+        if marker.get("spec") == spec:
+            lineage.append({"shard": name, "status": "skipped (checkpoint)",
+                            "n_docs": marker["n_docs"]})
+        else:
+            t0 = time.perf_counter()
+            tmp = shard_dir + ".tmp"
+            shutil.rmtree(tmp, ignore_errors=True)  # a crashed attempt
+            _inverted(factory(), cfg, text_col, id_col).write_parquet(tmp)
+            parts = glob.glob(os.path.join(tmp, "*.parquet"))
+            # docs = the doc-length sentinel rows' counts
+            n_docs = int(sum(pq.read_table(
+                p, columns=["n"], filters=[("term", "=", DOCLEN_TERM)])
+                .column("n").to_numpy().sum() for p in parts))
+            dt = time.perf_counter() - t0
+            stats = {"n_docs": n_docs, "build_sec": round(dt, 3),
+                     "docs_per_sec": round(n_docs / dt, 1),
+                     "wire_bytes": sum(map(os.path.getsize, parts))}
+            os.makedirs(tmp, exist_ok=True)
+            with open(os.path.join(tmp, CHECKPOINT), "w") as f:
+                json.dump({**stats, "spec": spec}, f)
+            # a dir without a valid marker (an older layout, another
+            # config) gives way to the new checkpoint
+            shutil.rmtree(shard_dir, ignore_errors=True)
+            os.rename(tmp, shard_dir)
+            lineage.append({"shard": name, "status": "built", **stats})
+        files += sorted(glob.glob(os.path.join(shard_dir, "*.parquet")))
+
+    # a rerun into the same out_path starts from empty index directories
+    for sub in ("postings", "norms", "termstats"):
+        shutil.rmtree(os.path.join(out_path, sub), ignore_errors=True)
+    refs = _block_refs(rd.read_parquet(files, partitioning=None)) \
+        if files else ()
+    rows = _hash_shuffle_merge_write(refs, cfg, cfg.store_positions)
+    return finish_index(out_path, asdict(cfg), rows, shard_lineage=lineage)

@@ -1,4 +1,4 @@
-"""Index-merge + incremental/resumable build.
+"""Index merge: the AddIndexes analog for already-encoded indexes.
 
 ``merge_indexes`` is the ``IndexWriter.AddIndexes(Directory[])`` analog
 (SURVEY §2.1): it combines several complete indexes (same bucket/hpart
@@ -16,12 +16,9 @@ its bucket tasks drop them from the wire rows. That is the one postings
 rewrite behind ``expunge_deletes``, the index splitters and
 ``IndexWriter`` merges, so each of them is one ``merge_indexes`` call.
 
-``build_index_incremental`` is the checkpoint-resume story (north rule:
-"resumable from checkpoint with per-partition lineage"): the input is a list
-of shards; each shard builds its own complete index generation under
-``<out>/shards/<name>`` with an atomic manifest; a rerun SKIPS shards whose
-manifest exists (lineage recorded per shard), then the final merge runs. A
-killed run therefore loses at most one shard's work.
+A resumable sharded build is not a merge: ``build.build_index_incremental``
+checkpoints each shard's pre-encode wire rows and ends in the build's one
+reduce, so no posting is encoded twice.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from lucenenet_ray.index.build import (
     IndexConfig,
     _grouped_take,
     _hash_shuffle_merge_write,
-    build_index,
     finish_index,
     term_hpart,
     wire_table,
@@ -243,50 +239,3 @@ def merge_indexes(sources: list, out_path: str) -> dict:
         merged_from=index_paths,
         dropped_sidecars=sorted({s for p in index_paths for s in _SIDECARS
                                  if os.path.isdir(os.path.join(p, s))}))
-
-
-def build_index_incremental(shards: list[tuple[str, "object"]], out_path: str,
-                            cfg_template: IndexConfig,
-                            text_col: str = "text",
-                            id_col: str = "doc_id") -> dict:
-    """Shard-at-a-time resumable build: each (name, dataset_factory) shard
-    builds its own index generation (SKIPPED if its manifest already exists —
-    the checkpoint), then all generations merge into <out_path>.
-
-    ``dataset_factory`` is a zero-arg callable returning the shard's Dataset
-    (lazy so skipped shards never read their input).
-    """
-    from dataclasses import replace
-
-    import time as _time
-
-    shard_paths = []
-    lineage = []
-    for name, factory in shards:
-        spath = os.path.join(out_path, "shards", name)
-        shard_paths.append(spath)
-        if os.path.exists(os.path.join(spath, "manifest.json")):
-            with open(os.path.join(spath, "manifest.json")) as f:
-                sm = json.load(f)
-            lineage.append({"shard": name, "status": "skipped (checkpoint)",
-                            "n_docs": sm.get("n_docs")})
-            continue
-        cfg = replace(cfg_template, index_path=spath)
-        t0 = _time.perf_counter()
-        sm = build_index(factory(), cfg, text_col=text_col, id_col=id_col)
-        dt = _time.perf_counter() - t0
-        # per-shard metrics ride the lineage (north-rule "lineage + metrics")
-        lineage.append({
-            "shard": name, "status": "built",
-            "build_sec": round(dt, 3),
-            "n_docs": sm["n_docs"],
-            "docs_per_sec": round(sm["n_docs"] / dt, 1) if dt > 0 else None,
-            "sum_total_term_freq": sm["sum_total_term_freq"],
-            "n_buckets": len(sm.get("buckets", [])),
-        })
-
-    manifest = merge_indexes(shard_paths, out_path)
-    manifest["shard_lineage"] = lineage
-    with open(os.path.join(out_path, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=1)
-    return manifest

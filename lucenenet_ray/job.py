@@ -24,25 +24,29 @@ Modes
 
     ``--shards N`` (N>1): the production 100-TB shape (docs/SCALE.md):
     stage 0 routes pages to N docID-hash shards (one hive-partitioned
-    ``write_parquet`` pass, checkpointed with a ``_DONE`` marker), then
-    ``build_index_incremental`` builds one index generation per shard —
-    a rerun after a crash SKIPS the finished staging pass and every shard
-    whose manifest exists, so at most one shard's work is lost. Routing is
-    by ``doc_id % N`` (doc ids are md5(url)-derived), which makes shard
-    docID sets disjoint *structurally* and keeps every copy of a url in
-    one shard, so per-shard keep-latest dedup equals global dedup.
+    ``write_parquet`` pass, checkpointed with a ``_DONE`` marker); then
+    ``build.build_index_incremental`` runs the same pages pipeline and
+    inverter on each shard and checkpoints its pre-encode wire rows, and one
+    reduce over all shards writes the index — the direct build's bytes. A
+    rerun after a crash SKIPS the finished staging pass and every shard
+    whose checkpoint marker exists, so at most one shard's map is lost.
+    Routing is by ``doc_id % N`` (doc ids are md5(url)-derived), which makes
+    shard docID sets disjoint *structurally* and keeps every copy of a url
+    in one shard, so per-shard keep-latest dedup equals global dedup.
 
 ``search``
     Run queries (``--query`` once or ``--queries FILE`` one-per-line)
     through the warm actor-pool searcher; one JSON line per query.
 
 Both modes print a final one-line JSON report (metrics ride the
-``shard_lineage`` entries — per-shard build_sec / docs_per_sec).
+``shard_lineage`` entries — per-shard build_sec / docs_per_sec /
+checkpoint wire_bytes).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -68,7 +72,7 @@ def _stage_shards(input_path: str, staging: str, n_shards: int) -> None:
     """Stage 0: route pages to ``shard=K/`` hive partitions by
     ``doc_id % n_shards``. Checkpointed: the ``_DONE`` marker makes reruns
     free. One streaming pass — the only full-input read the sharded build
-    does before the per-shard pipelines take over."""
+    does before the per-shard maps take over."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -83,9 +87,14 @@ def _stage_shards(input_path: str, staging: str, n_shards: int) -> None:
                   for u in batch.column("url").to_pylist()]
         return batch.append_column("shard", pa.array(shards, type=pa.int32()))
 
+    # ≥10k pages per write task: each shard dir gets a few files, not one
+    # per input block. At 160k pages the default wrote 142 files per shard,
+    # and planning each shard's read and dedup pre-pass over them cost
+    # 1-2 s per shard on a 4-CPU host.
     (rd.read_parquet(input_path, columns=["url", "warc_ts", "html", "lang"])
        .map_batches(add_shard, batch_format="pyarrow")
-       .write_parquet(staging, partition_cols=["shard"]))
+       .write_parquet(staging, partition_cols=["shard"],
+                      min_rows_per_file=10_000))
     with open(done + ".tmp", "w") as f:
         f.write("ok")
     os.replace(done + ".tmp", done)
@@ -95,7 +104,7 @@ def index_job(input_path: str, output_path: str, n_shards: int = 1,
               n_buckets: int = 32, n_hparts: int = 8) -> dict:
     """Build the index at ``output_path``; returns the report dict."""
     from lucenenet_ray.pipelines.flagship import (
-        ID_SPACE_MAX, _add_doc_ids, dedup_latest_pages, index_pages)
+        ID_SPACE_MAX, index_pages, page_docs)
 
     t0 = time.perf_counter()
     if n_shards <= 1:
@@ -105,27 +114,14 @@ def index_job(input_path: str, output_path: str, n_shards: int = 1,
         lineage = [{"shard": "all", "status": "built",
                     "n_docs": manifest["n_docs"]}]
     else:
-        import ray.data as rd
-
-        from lucenenet_ray.extract import ExtractHTML
-        from lucenenet_ray.index.build import IndexConfig
-        from lucenenet_ray.index.merge_indexes import build_index_incremental
+        from lucenenet_ray.index.build import (IndexConfig,
+                                               build_index_incremental)
 
         staging = os.path.join(output_path, "_staging")
         _stage_shards(input_path, staging, n_shards)
-
-        def factory_for(shard_dir: str):
-            def factory():
-                ds = rd.read_parquet(shard_dir)
-                ds = dedup_latest_pages(shard_dir, ds)
-                ds = ds.map_batches(ExtractHTML(), batch_format="pyarrow",
-                                    batch_size=1024)
-                ds = ds.map_batches(_add_doc_ids, batch_format="pyarrow")
-                return ds.select_columns(["doc_id", "text", "lang"])
-            return factory
-
         shards = [(f"shard{k:04d}",
-                   factory_for(os.path.join(staging, f"shard={k}")))
+                   functools.partial(page_docs,
+                                     os.path.join(staging, f"shard={k}")))
                   for k in range(n_shards)
                   if os.path.isdir(os.path.join(staging, f"shard={k}"))]
         cfg = IndexConfig(index_path="", id_min=0, id_max=ID_SPACE_MAX,

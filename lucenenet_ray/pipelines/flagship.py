@@ -8,6 +8,7 @@ The end-to-end path of the north star (SURVEY §3.1/§3.2 Ray equivalents):
                                              #   IndexWriter.cs:1538-1556)
       → map_batches(ExtractHTML)             # DemoHTMLParser-equivalent
       → map_batches(add doc ids)             # deterministic md5-based docIDs
+                                             #   (page_docs: the steps above)
       → build_index(...)                     # invert → salted merge → shards
     then: parse_query → plan (global stats) → per-bucket score → TopDocs merge
 """
@@ -53,14 +54,20 @@ def _keep_latest_partition_kernel(t: pa.Table) -> pa.Table:
     return t.filter(pa.array(mask))
 
 
+def dedup_partition(urls: pa.Array, num_partitions: int) -> pa.Array:
+    """url → dedup exchange partition: the md5-derived docID (the same hash
+    that routes urls to shards) modulo ``num_partitions``, so the partition
+    of a url is fixed by the url alone, on any host and library version."""
+    return pa.array([doc_id_for_url(u) % num_partitions
+                     for u in urls.to_pylist()], type=pa.int32())
+
+
 def _dedup_shuffle_vectorized(ds, num_partitions: int | None = None):
     """At-scale exact dedup: ONE hash exchange on url, then the vectorized
-    per-partition kernel. Partition ids come from a seeded polars string
-    hash (vectorized C; deterministic across processes for a fixed polars
-    version, which is all a single job needs — every row of a url must
-    land in the same partition). Partition COUNT defaults to the input's
-    block count, preserving ~input-block-sized partitions at any corpus
-    size; the groupby key is the low-cardinality partition id, so
+    per-partition kernel (every row of a url must land in the same
+    partition; ``dedup_partition`` assigns it). Partition COUNT defaults to
+    the input's block count, preserving ~input-block-sized partitions at any
+    corpus size; the groupby key is the low-cardinality partition id, so
     map_groups makes exactly one Python call per PARTITION, never per url."""
     if num_partitions is None:
         try:
@@ -69,11 +76,9 @@ def _dedup_shuffle_vectorized(ds, num_partitions: int | None = None):
             num_partitions = 256
 
     def assign(t: pa.Table) -> pa.Table:
-        import polars as pl
-
-        h = pl.from_arrow(t.column("url").combine_chunks()).hash(seed=0)
-        part = (h % num_partitions).cast(pl.Int32).to_arrow()
-        return t.append_column("__dedup_part", part)
+        return t.append_column(
+            "__dedup_part",
+            dedup_partition(t.column("url").combine_chunks(), num_partitions))
 
     def kernel(t: pa.Table) -> pa.Table:
         return _keep_latest_partition_kernel(t.drop_columns(["__dedup_part"]))
@@ -182,25 +187,13 @@ def _add_doc_ids(batch: pa.Table) -> pa.Table:
     return batch.append_column("doc_id", pa.array(ids, type=pa.int64()))
 
 
-def index_pages(
-    pages_path: str,
-    index_path: str,
-    n_buckets: int = 16,
-    n_hparts: int = 8,
-    batch_size: int = 1024,
-    overwrite: bool = True,
-):
-    """pages parquet → merged index at index_path; returns the manifest."""
-    import time
-
+def page_docs(pages_path: str):
+    """pages parquet → (doc_id, text, lang) Dataset: the read, keep-latest
+    dedup, HTML extract and docID steps every pages build runs (a direct
+    ``index_pages`` build and each shard of ``job.index_job``)."""
+    import pyarrow.parquet as pq
+    import ray
     import ray.data as rd
-
-    prof = os.environ.get("GRAFT_PROFILE")
-    t0 = time.perf_counter()
-
-    if overwrite and os.path.exists(index_path):
-        shutil.rmtree(index_path)
-    os.makedirs(index_path, exist_ok=True)
 
     # Map-stage blocking: ~2 blocks per cluster CPU (two waves amortize
     # per-task overhead yet load-balance stragglers), with a row-count floor
@@ -209,10 +202,6 @@ def index_pages(
     # ~40MB of text). Interleaved A/B at sf0.1/32cpus: 2 waves beat 8 waves
     # 1.2-1.8x every pair (per-task fixed costs dominated the 8-wave run).
     # Output bytes are blocking-independent (digest-checked).
-    import ray
-
-    import pyarrow.parquet as pq
-
     cpus = int(ray.cluster_resources().get("CPU", 8)) if (
         ray.is_initialized()) else (os.cpu_count() or 8)
     n_rows = sum(
@@ -225,18 +214,26 @@ def index_pages(
     ds = rd.read_parquet(pages_path, columns=["url", "warc_ts", "html", "lang"],
                          override_num_blocks=n_blocks)
     ds = dedup_latest_pages(pages_path, ds)
-    if prof:
-        import sys
-
-        print(f"[prof] dedup plan+combine: {time.perf_counter()-t0:.1f}s",
-              file=sys.stderr)
     # batch 1024 ≈ 0.2 s/task of HTML parsing: large enough that driver-side
     # task scheduling doesn't dominate, small enough to pipeline (html rows
     # are a few KB; for multi-MB pages lower this — SURVEY §4 memory-aware)
     ds = ds.map_batches(ExtractHTML(), batch_format="pyarrow", batch_size=1024)
     ds = ds.map_batches(_add_doc_ids, batch_format="pyarrow")
-    ds = ds.select_columns(["doc_id", "text", "lang"])
+    return ds.select_columns(["doc_id", "text", "lang"])
 
+
+def index_pages(
+    pages_path: str,
+    index_path: str,
+    n_buckets: int = 16,
+    n_hparts: int = 8,
+    batch_size: int = 1024,
+    overwrite: bool = True,
+):
+    """pages parquet → merged index at index_path; returns the manifest."""
+    if overwrite and os.path.exists(index_path):
+        shutil.rmtree(index_path)
+    os.makedirs(index_path, exist_ok=True)
     cfg = IndexConfig(
         index_path=index_path,
         id_min=0,
@@ -246,7 +243,8 @@ def index_pages(
         batch_size=batch_size,
         lang_col="lang",  # per-language analyzer dispatch (input_hint)
     )
-    return build_index(ds, cfg, text_col="text", id_col="doc_id")
+    return build_index(page_docs(pages_path), cfg, text_col="text",
+                       id_col="doc_id")
 
 
 def index_documents(

@@ -125,3 +125,14 @@ def test_dedup_fallback_block_invariance(ray_session, tmp_path):
         return _sorted(pa.Table.from_pylist(out.take_all()))
 
     assert run(2).equals(run(13))
+
+
+def test_dedup_partition_is_pinned():
+    """The fallback exchange's url → partition map is md5-derived (the
+    docID hash), so it is fixed by the url alone: golden values."""
+    from lucenenet_ray.pipelines.flagship import dedup_partition
+
+    urls = pa.array(["http://site0.example/p/0", "https://example.com/",
+                     "http://a.b/c?d=e", "http://site36.example/p/999"])
+    assert dedup_partition(urls, 64).to_pylist() == [15, 3, 53, 40]
+    assert dedup_partition(urls, 7).to_pylist() == [1, 5, 5, 3]

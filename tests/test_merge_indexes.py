@@ -13,7 +13,7 @@ def incremental_index(ray_session, tmp_path_factory):
     import ray.data as rd
 
     from lucenenet_ray.index.build import IndexConfig
-    from lucenenet_ray.index.merge_indexes import build_index_incremental
+    from lucenenet_ray.index.build import build_index_incremental
 
     out = str(tmp_path_factory.mktemp("inc") / "merged")
     src = "/root/testdata/sf0.001/documents.parquet"
@@ -55,12 +55,23 @@ def test_incremental_matches_direct(incremental_index, documents_index):
         assert np.array_equal(b.docs, c.docs) and np.array_equal(b.scores, c.scores)
 
 
+def test_merge_manifest_lineage(incremental_index):
+    """One manifest write: the build's atomic replace carries the lineage
+    (runs before the rerun below rewrites the manifest)."""
+    inc_path, manifest = incremental_index
+    with open(os.path.join(inc_path, "manifest.json")) as f:
+        on_disk = json.load(f)
+    assert on_disk == json.loads(json.dumps(manifest))
+    assert [s["shard"] for s in on_disk["shard_lineage"]] == ["s0", "s1"]
+    assert not os.path.exists(os.path.join(inc_path, ".manifest.tmp"))
+
+
 def test_resume_skips_built_shards(incremental_index, ray_session):
     """Re-running the incremental build must skip existing shard checkpoints."""
     import ray.data as rd
 
     from lucenenet_ray.index.build import IndexConfig
-    from lucenenet_ray.index.merge_indexes import build_index_incremental
+    from lucenenet_ray.index.build import build_index_incremental
 
     inc_path, _ = incremental_index
     src = "/root/testdata/sf0.001/documents.parquet"
@@ -73,14 +84,6 @@ def test_resume_skips_built_shards(incremental_index, ray_session):
         [("s0", fail_factory), ("s1", fail_factory)], inc_path, cfg
     )
     assert all("skipped" in s["status"] for s in manifest["shard_lineage"])
-
-
-def test_merge_manifest_lineage(incremental_index):
-    inc_path, manifest = incremental_index
-    assert len(manifest["merged_from"]) == 2
-    with open(os.path.join(inc_path, "manifest.json")) as f:
-        on_disk = json.load(f)
-    assert "shard_lineage" in on_disk
 
 
 def _build(ds, path, **kw):

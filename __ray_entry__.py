@@ -1098,44 +1098,6 @@ def _q_url_dedup(sf_dir: str) -> Any:
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
-def _q_curation_funnel(sf_dir: str) -> pa.Table:
-    """End-to-end curation funnel (ops/curation.py — RefinedWeb/FineWeb
-    practice): C4 page filter -> Gopher rules -> LM fluency (avg_w >= the
-    CCNet tail cutoff) fused into ONE streaming pass emitting per-batch
-    partial retention counters; the driver sees count rows only.
-    Integer-exact vs the composed SQL oracle."""
-    import ray.data as rd
-
-    from lucenenet_ray.ops.curation import curation_funnel
-    from lucenenet_ray.ops.lm_quality import build_reference_model
-
-    key = _sf_key(sf_dir)
-    path = f"/tmp/lucenenet_ray_lmq/{key}.parquet"
-    if key not in _LM_MODEL_CACHE:
-        if not os.path.exists(path):
-            def ref_slice(t: pa.Table) -> pa.Table:
-                ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-                return t.filter(pa.array(ids % 10 == 0))
-
-            ref = (rd.read_parquet(
-                os.path.join(sf_dir, "documents.parquet"),
-                columns=["doc_id", "text"])
-                .map_batches(ref_slice, batch_format="pyarrow"))
-            build_reference_model(ref, path)
-        _LM_MODEL_CACHE[key] = path
-
-    def ref_slice3(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(ids % 10 == 0))
-
-    # cutoffs come from the AUGMENTED reference slice — the same text form
-    # the corpus is scored on (model stays the raw-slice LM)
-    ds_ref = _webclean_aug_ds(sf_dir).map_batches(
-        ref_slice3, batch_format="pyarrow")
-    return curation_funnel(_webclean_aug_ds(sf_dir), ds_ref,
-                           _LM_MODEL_CACHE[key])
-
-
 def _q_dsir(sf_dir: str) -> pa.Table:
     """DSIR importance weighting (ops/dsir.py, Xie et al. 2023): hashed
     uni+bigram buckets, target = lang 'en' vs raw = everything,
@@ -2686,90 +2648,6 @@ def _q_mlt_terms(sf_dir: str) -> Any:
     )
 
 
-def _q_events_window(sf_dir: str) -> Any:
-    """Tumbling-window aggregate over the events stream table (the reference
-    has no streaming ops — SURVEY §2.11; this is the ordered-log windowing
-    idiom from the Ray guide): 1-hour windows per event_type."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts", "event_type", "user_id"])
-
-    def add_window(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        epoch_us = pc.cast(t.column("ts"), pa.int64())
-        win = pc.divide(epoch_us, 3_600_000_000)
-        return t.append_column("win", pc.cast(win, pa.int64()))
-
-    from ray.data.aggregate import Count, Max, Min
-
-    out = (
-        ds.map_batches(add_window, batch_format="pyarrow")
-        .groupby(["event_type", "win"])
-        .aggregate(
-            Count(alias_name="n_events"),
-            Min("user_id", alias_name="min_user"),
-            Max("user_id", alias_name="max_user"),
-        )
-        .to_pandas()
-        .sort_values(["event_type", "win"])
-        .reset_index(drop=True)
-    )
-    return out[["event_type", "win", "n_events", "min_user", "max_user"]]
-
-
-def _q_events_topk_users(sf_dir: str) -> Any:
-    """Continuous top-k over the event stream (the continuous-top-k shape
-    from the streaming literature, e.g. "SAP: Improving Continuous Top-K
-    Queries over Streaming Data", ICDE 2018 — PAPERS.md): per 1-hour
-    tumbling window, the top-3 heaviest users by event count (ties →
-    lower user_id), emitted as one row per (window, rank). Distributed:
-    per-batch partial (win, user) counts (the combiner), ONE groupby sum,
-    per-window rank over the already-tiny aggregate."""
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts", "user_id"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        if t.num_rows == 0:  # empty groupby blocks degenerate to 0 columns
-            return pa.table({"win": pa.array([], type=pa.int64()),
-                             "user_id": pa.array([], type=pa.int64()),
-                             "n": pa.array([], type=pa.int64())})
-        epoch_us = pc.cast(t.column("ts"), pa.int64())
-        win = pc.cast(pc.divide(epoch_us, 3_600_000_000), pa.int64())
-        sub = pa.table({"win": win, "user_id": t.column("user_id")})
-        g = sub.group_by(["win", "user_id"]).aggregate([([], "count_all")])
-        return pa.table({
-            "win": g.column("win"),
-            "user_id": g.column("user_id"),
-            "n": g.column("count_all").cast(pa.int64()),
-        })
-
-    from lucenenet_ray.util.tables import dataset_to_table
-
-    t = dataset_to_table(
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["win", "user_id"]).aggregate(Sum("n", alias_name="n")),
-        schema=pa.schema([("win", pa.int64()), ("user_id", pa.int64()),
-                          ("n", pa.int64())]))
-    df = t.to_pandas()
-    df = df.sort_values(["win", "n", "user_id"],
-                        ascending=[True, False, True], kind="mergesort")
-    df["rank"] = df.groupby("win").cumcount() + 1
-    df = df[df["rank"] <= 3].reset_index(drop=True)
-    return pa.table({
-        "win": pa.array(df["win"], type=pa.int64()),
-        "rank": pa.array(df["rank"], type=pa.int64()),
-        "user_id": pa.array(df["user_id"], type=pa.int64()),
-        "n": pa.array(df["n"], type=pa.int64()),
-    })
-
-
 def _q_mlt_search(sf_dir: str) -> pa.Table:
     """MoreLikeThisQuery end-to-end (Queries/Mlt/MoreLikeThisQuery.cs →
     MoreLikeThis.Like → OR query, ops/mlt.py more_like_this_query): doc 0's
@@ -2920,66 +2798,6 @@ def _q_writer_api_bm25(sf_dir: str) -> pa.Table:
     return _topdocs_to_table(td)
 
 
-def _q_events_sliding_window(sf_dir: str) -> pa.Table:
-    """Sliding-window aggregate (streaming idiom; size = 2h, step = 1h —
-    each event lands in exactly 2 overlapping windows): vectorized window
-    expansion inside map_batches (concat of size/step copies per batch, no
-    per-row loop) then ONE groupby((event_type, window)). Window w covers
-    ts in [w*step, w*step + size)."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts", "event_type", "user_id"])
-    step_us = 3_600_000_000
-    n_overlap = 2  # size = n_overlap * step
-
-    def expand(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        epoch_us = pc.cast(t.column("ts"), pa.int64())
-        base = pc.cast(pc.divide(epoch_us, step_us), pa.int64())
-        parts = []
-        for k in range(n_overlap):
-            parts.append(pa.table({
-                "event_type": t.column("event_type"),
-                "win": pc.subtract(base, k),
-                "user_id": t.column("user_id"),
-            }))
-        return pa.concat_tables(parts)
-
-    from ray.data.aggregate import Count, Max
-
-    out = (
-        ds.map_batches(expand, batch_format="pyarrow")
-        .groupby(["event_type", "win"])
-        .aggregate(
-            Count(alias_name="n_events"),
-            Max("user_id", alias_name="max_user"),
-        )
-        .to_pandas()
-        .sort_values(["event_type", "win"])
-        .reset_index(drop=True)
-    )
-    return out[["event_type", "win", "n_events", "max_user"]]
-
-
-def _q_events_sessionize(sf_dir: str) -> pa.Table:
-    """Gap-based sessionization over the events log (ops/sessions.py):
-    ONE user_id hash shuffle, vectorized per-group session split (30-min
-    inactivity gap), checked against a DuckDB window-function oracle."""
-    import ray.data as rd
-
-    from lucenenet_ray.ops.sessions import sessionize
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "ts", "user_id"])
-    out = sessionize(ds).to_pandas().sort_values(
-        ["user_id", "session_id"]).reset_index(drop=True)
-    return pa.Table.from_pandas(
-        out[["user_id", "session_id", "start_us", "end_us", "n_events"]],
-        preserve_index=False)
-
-
 def _q_nb_classify(sf_dir: str) -> pa.Table:
     """Naive-Bayes classification (SimpleNaiveBayesClassifier.cs:141-232,
     ops/classify.py): per-class log-probabilities for three corpus docs,
@@ -3084,17 +2902,6 @@ def _q_snowball_da_stats(sf_dir: str) -> pa.Table:
     from lucenenet_ray.analysis.snowball import danish_stem
 
     return _phonetic_stats(sf_dir, danish_stem)
-
-
-def _q_snowball_en_stats(sf_dir: str) -> pa.Table:
-    """English Snowball / Porter2 (Tartarus EnglishStemmer.cs,
-    analysis/snowball.py porter2_stem): term dictionary grouped by stem.
-    Rows-only by design (Porter2's R1/R2 + shortv + 5 steps exceed a sane
-    SQL re-expression); bit-validated on the reference's full 29,417-word
-    vocabulary fixture in tests/test_snowball.py."""
-    from lucenenet_ray.analysis.snowball import porter2_stem
-
-    return _phonetic_stats(sf_dir, porter2_stem)
 
 
 def _q_fvh_highlight(sf_dir: str) -> pa.Table:
@@ -3487,16 +3294,6 @@ def _q_soundex_stats(sf_dir: str) -> pa.Table:
     return _phonetic_stats(sf_dir, soundex)
 
 
-def _q_metaphone_stats(sf_dir: str) -> pa.Table:
-    """Original Metaphone (Language/Metaphone.cs, analysis/metaphone.py):
-    term dictionary grouped by code. Rows-only by design — rule pack not
-    SQL-expressible; parity pinned by reference vectors in
-    tests/test_metaphone.py."""
-    from lucenenet_ray.analysis.metaphone import metaphone
-
-    return _phonetic_stats(sf_dir, metaphone)
-
-
 def _topk_rows_table(rows) -> pa.Table:
     return pa.table({
         "rank": pa.array(range(1, len(rows) + 1), type=pa.int64()),
@@ -3671,16 +3468,6 @@ def _q_caverphone_stats(sf_dir: str) -> pa.Table:
     return _phonetic_stats(sf_dir, caverphone2)
 
 
-def _q_nysiis_stats(sf_dir: str) -> pa.Table:
-    """NYSIIS (Language/Nysiis.cs, analysis/nysiis.py): term dictionary
-    grouped by strict code. Rows-only by design (the in-place transcode
-    scan is not SQL-expressible); parity pinned by the reference vectors
-    in tests/test_nysiis.py."""
-    from lucenenet_ray.analysis.nysiis import nysiis
-
-    return _phonetic_stats(sf_dir, lambda t: nysiis(t) or "")
-
-
 def _q_sv_stem_stats(sf_dir: str) -> pa.Table:
     """SwedishLightStemmer (Analysis/Sv/SwedishLightStemmer.cs,
     lang_stem.swedish_light_stem): term dictionary grouped by stem,
@@ -3825,39 +3612,6 @@ def _q_mra_stats(sf_dir: str) -> pa.Table:
     from lucenenet_ray.analysis.cologne import match_rating_encode
 
     return _phonetic_stats(sf_dir, match_rating_encode)
-
-
-def _q_dm_soundex_stats(sf_dir: str) -> pa.Table:
-    """Daitch-Mokotoff Soundex (Language/DaitchMokotoffSoundex.cs,
-    analysis/dmsoundex.py): term dictionary grouped by the
-    first-alternative code. Rows-only by design (branching rule engine
-    not SQL-expressible); parity pinned by the 30 reference vectors in
-    tests/test_dmsoundex.py."""
-    from lucenenet_ray.analysis.dmsoundex import dm_encode
-
-    return _phonetic_stats(sf_dir, lambda t: dm_encode(t) or "")
-
-
-def _q_cologne_stats(sf_dir: str) -> pa.Table:
-    """Kölner Phonetik (Language/ColognePhonetic.cs,
-    analysis/cologne.py): term dictionary grouped by Cologne code.
-    Rows-only by design (streaming scan with re-queued X expansion is
-    not SQL-expressible); parity pinned by the 52 reference vectors in
-    tests/test_cologne.py."""
-    from lucenenet_ray.analysis.cologne import cologne_phonetic
-
-    return _phonetic_stats(sf_dir, lambda t: cologne_phonetic(t) or "")
-
-
-def _q_dmetaphone_stats(sf_dir: str) -> pa.Table:
-    """Double Metaphone (DoubleMetaphoneFilter.cs / Language/
-    DoubleMetaphone.cs, analysis/dmetaphone.py): term dictionary grouped
-    by primary code. Rows-only by design — the rule pack is not
-    SQL-expressible; parity is pinned by the reference test vectors in
-    tests/test_dmetaphone.py."""
-    from lucenenet_ray.analysis.dmetaphone import double_metaphone
-
-    return _phonetic_stats(sf_dir, lambda t: double_metaphone(t) or "")
 
 
 def _q_refined_soundex_stats(sf_dir: str) -> pa.Table:
@@ -6348,22 +6102,6 @@ def _q_rocchio_expand(sf_dir: str) -> pa.Table:
                           ["spark", "window"], k=10, m=10)
 
 
-def _q_bitext_align(sf_dir: str) -> pa.Table:
-    """Cross-lingual mutual-top-1 alignment (ops/bitext.py; Artetxe &
-    Schwenk ACL 2019 / LASER mining): fr→de cosine top-1 both
-    directions, mutual pairs only — smaller side broadcast once, one
-    streaming pass over the larger, rank-only outputs."""
-    import ray.data as rd
-
-    from lucenenet_ray.ops.bitext import mutual_align
-
-    return mutual_align(
-        _docs_ds(sf_dir, columns=("doc_id", "lang")),
-        rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                        columns=["vec_id", "embedding"]),
-        lang_a="fr", lang_b="de")
-
-
 def _q_weak_labels(sf_dir: str) -> pa.Table:
     """Weak supervision by labeling functions (ops/weaklabel.py; Ratner
     et al. VLDB 2017 Snorkel majority-vote baseline): 4 keyword LFs vote
@@ -6416,20 +6154,6 @@ def _q_spell_variant_pairs(sf_dir: str) -> pa.Table:
     from lucenenet_ray.ops.symspell import augment_typos, spell_variant_pairs
 
     return spell_variant_pairs(augment_typos(_docs_ds(sf_dir)), k=20)
-
-
-def _q_butterflies(sf_dir: str) -> pa.Table:
-    """Bipartite butterfly counting (ops/clickpairs.py butterfly_counts;
-    Sanei-Mehri et al. KDD'18) over the user×props.k engagement graph:
-    exact wedge formulation — edge dedup groupby, per-user pair explode,
-    pair-support groupby, integer fold."""
-    import ray.data as rd
-
-    from lucenenet_ray.ops.clickpairs import butterfly_counts
-
-    return butterfly_counts(
-        rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                        columns=["user_id", "props"]))
 
 
 def _q_kcore(sf_dir: str) -> pa.Table:
@@ -6520,21 +6244,6 @@ def _q_cdc_chunk_dedup(sf_dir: str) -> pa.Table:
     from lucenenet_ray.ops.cdc_chunks import cdc_dedup_stats
 
     return cdc_dedup_stats(_docs_ds(sf_dir))
-
-
-def _q_session_pairs(sf_dir: str) -> pa.Table:
-    """Session co-click pair mining (ops/clickpairs.py; item2vec-style
-    positive-pair extraction): 30-min-gap sessions, DISTINCT props.k
-    items, unordered pairs counted once per session — one user groupby
-    (bounded pair explode) + one pair groupby. Top-25."""
-    import ray.data as rd
-
-    from lucenenet_ray.ops.clickpairs import session_pairs_topk
-
-    return session_pairs_topk(
-        rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                        columns=["event_id", "ts", "user_id", "props"]),
-        k=25)
 
 
 _CONT_IDX_CACHE: dict[str, str] = {}
@@ -7940,19 +7649,6 @@ def _q_reciprocity(sf_dir: str) -> pa.Table:
     return reciprocity(ds, n_nodes=n)
 
 
-def _q_session_trigrams(sf_dir: str) -> pa.Table:
-    """Session path analysis (ops/sessions.py session_path_trigrams):
-    top event-type trigrams within 30-min-gap sessions — one
-    groupby(user) fold + one trigram-type-bounded groupby."""
-    import ray.data as rd
-
-    from lucenenet_ray.ops.sessions import session_path_trigrams
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts", "event_type"])
-    return session_path_trigrams(ds, k=10)
-
-
 LTR_QUERIES = [("q_spark_window", ["spark", "window"]),
                ("q_data_merge", ["data", "merge"]),
                ("q_scan_filter", ["scan", "filter"])]
@@ -8138,10 +7834,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "ndcg_graded": _q_ndcg_graded,
         "pack_best_fit": _q_pack_best_fit,
         "rm3_expand": _q_rm3_expand,
-        # -- joins / windows / lookups
+        # -- joins / lookups
         "mlt_terms": _q_mlt_terms,
-        "events_window": _q_events_window,
-        "events_topk_users": _q_events_topk_users,
         "semi_join": _q_semi_join,
         "block_join": _q_block_join,
         "field_term_lookup": _q_field_term_lookup,
@@ -8156,12 +7850,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "stored_fields": _q_stored_fields,
         "spell_suggest": _q_spell_suggest,
         "rescore": _q_rescore,
+        # ---- 50-entry driver window ends here (assert in tests) ----
         "dv_sort_updated": _q_dv_sort_updated,
         "bm25_at_commit": _q_bm25_at_commit,
         "expr_sort": _q_expr_sort,
         "payload_term_score": _q_payload_term_score,
         "facet_taxonomy": _q_facet_taxonomy,
-        # ---- 50-entry driver window ends here (assert in tests) ----
         # redundant-variant oracle queries (graded r1/r2; gate_check replays)
         "drill_sideways": _q_drill_sideways,
         "facet_sortedset": _q_facet_sortedset,
@@ -8195,7 +7889,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "join_scored_none": _q_join_scored_none,
         "join_scored_total": _q_join_scored_total,
         "xml_query_bm25": _q_xml_query_bm25,
-        "events_sessionize": _q_events_sessionize,
         "nb_classify": _q_nb_classify,
         "nb_classify_all": _q_nb_classify_all,
         "knn_classify": _q_knn_classify,
@@ -8279,12 +7972,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "function_query_source": _q_function_query_source,
         "function_ord": _q_function_ord,
         "join_scored": _q_join_scored,
-        "events_sliding_window": _q_events_sliding_window,
         "mlt_search": _q_mlt_search,
         "parallel_fields_bm25": _q_parallel_fields_bm25,
         "multi_reader_bm25": _q_multi_reader_bm25,
         "lm_buckets": _q_lm_buckets,
-        "curation_funnel": _q_curation_funnel,
         "tiered_compaction_bm25": _q_tiered_compaction_bm25,
         "span_position_range_count": _q_span_position_range,
         "field_masked_span": _q_field_masked_span,
@@ -8332,19 +8023,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "containment_topk_pruned": _q_containment_topk_pruned,
         "snapshot_diff": _q_snapshot_diff,
         "props_extract": _q_props_extract,
-        "session_pairs": _q_session_pairs,
         "cdc_chunk_dedup": _q_cdc_chunk_dedup,
         "vocab_growth": _q_vocab_growth,
         "group_split": _q_group_split,
         "revenue_by_nation": _q_revenue_by_nation,
         "record_linkage": _q_record_linkage,
         "kcore_3": _q_kcore,
-        "butterflies": _q_butterflies,
         "spell_variant_pairs": _q_spell_variant_pairs,
         "kcenter_coreset": _q_kcenter_coreset,
         "mmr_rerank": _q_mmr_rerank,
         "weak_labels": _q_weak_labels,
-        "bitext_align": _q_bitext_align,
         "random_walks": _q_random_walks,
         "rocchio_expand": _q_rocchio_expand,
         "incremental_near_dup": _q_incremental_near_dup,
@@ -8385,7 +8073,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "daily_distinct_users": _q_daily_distinct_users,
         "dedup_eval": _q_dedup_eval,
         "reciprocity": _q_reciprocity,
-        "session_trigrams": _q_session_trigrams,
         "ltr_features": _q_ltr_features,
         "boilerplate_prefixes": _q_boilerplate_prefixes,
         "skyline_docs": _q_skyline,
@@ -8396,12 +8083,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "rollup_cube": _q_rollup_cube,
         "simpson_index": _q_simpson_index,
         "host_gini": _q_host_gini,
-        # no-oracle-by-design (rows-only). The former phonetic/snowball
-        # rows-only twins (dmetaphone/metaphone/nysiis/cologne/
-        # dm_soundex/snowball_en *_stats) were RETIRED in r5 — each is
-        # fully covered by its oracle-exact *_gate twin on the
-        # constrained-subset corpus (VERDICT r4 item 6); the _q_*
-        # functions remain for pytest use.
+        # no-oracle-by-design (rows-only)
         "stemmed_top_terms": _q_stemmed_top_terms,
         "highlight": _q_highlight,
         "media_features": _q_media_features,
@@ -8475,8 +8157,6 @@ def oracle_sql() -> dict[str, str]:
         "quality_stats": so.quality_stats_sql(),
         "knn_exact": so.knn_exact_sql(KNN_QUERY_IDS, 10),
         "mlt_terms": so.mlt_terms_sql(0),
-        "events_window": so.events_window_sql(),
-        "events_topk_users": so.events_topk_users_sql(3),
         "semi_join": so.semi_join_sql(),
         "spell_suggest": so.spell_suggest_sql("spqrk", 2, 5),
         "term_stats_cjk": so.term_stats_cjk_sql(),
@@ -8514,7 +8194,6 @@ def oracle_sql() -> dict[str, str]:
         "join_scored_none": so.join_scored_none_sql(),
         "join_scored_total": so.join_scored_total_sql(),
         "xml_query_bm25": so.bm25_topk_sql(["spark", "merge"], TOPK, "or"),
-        "events_sessionize": so.events_sessionize_sql(),
         "nb_classify": so.nb_classify_sql([3, 7, 11]),
         "nb_classify_all": so.nb_classify_all_sql(),
         "knn_classify": so.knn_classify_sql(0, TOPK),
@@ -8605,20 +8284,11 @@ def oracle_sql() -> dict[str, str]:
             "SELECT l_orderkey, max(l_extendedprice) AS score "
             "FROM lineitem WHERE l_returnflag = 'R' GROUP BY l_orderkey "
             "ORDER BY score DESC, l_orderkey ASC LIMIT 20"),
-        "events_sliding_window": (
-            "WITH e AS (SELECT event_type, user_id, "
-            "  epoch_us(ts) // 3600000000 AS base FROM events), "
-            "x AS (SELECT event_type, user_id, base - k.k AS win "
-            "  FROM e, (VALUES (0), (1)) k(k)) "
-            "SELECT event_type, win, CAST(count(*) AS BIGINT) AS n_events, "
-            "  max(user_id) AS max_user "
-            "FROM x GROUP BY event_type, win ORDER BY event_type, win"),
         "mlt_search": so.mlt_search_sql(0, 2, TOPK),
         "parallel_fields_bm25": so.parallel_fields_bm25_sql(
             "spark", "source", "src7", TOPK),
         "multi_reader_bm25": so.bm25_topk_sql(["spark", "window"], TOPK, "or"),
         "lm_buckets": so.lm_buckets_sql(),
-        "curation_funnel": so.curation_funnel_sql(),
         "tiered_compaction_bm25": so.bm25_topk_sql(
             ["vector", "batch"], TOPK, "or"),
         "span_position_range_count": so.span_position_range_count_sql(
@@ -8747,19 +8417,16 @@ def oracle_sql() -> dict[str, str]:
         "containment_topk_pruned": so.containment_topk_sql(0, 10),
         "snapshot_diff": so.snapshot_diff_sql(),
         "props_extract": so.props_extract_sql(),
-        "session_pairs": so.session_pairs_sql(25),
         "cdc_chunk_dedup": so.cdc_dedup_sql(8, 64),
         "vocab_growth": so.vocab_growth_sql(),
         "group_split": so.group_split_sql(),
         "revenue_by_nation": so.revenue_by_nation_sql(),
         "record_linkage": so.link_records_sql(),
         "kcore_3": so.kcore_sql(3, 6),
-        "butterflies": so.butterfly_sql(),
         "spell_variant_pairs": so.spell_variant_pairs_sql(20),
         "kcenter_coreset": so.kcenter_greedy_sql(8, 0),
         "mmr_rerank": so.mmr_rerank_sql(["spark", "window"], 20, 10),
         "weak_labels": so.label_docs_sql(),
-        "bitext_align": so.mutual_align_sql("fr", "de"),
         "random_walks": so.random_walks_sql(5, 37),
         "rocchio_expand": so.rocchio_expand_sql(["spark", "window"], 10, 10),
         "incremental_near_dup": so.incremental_minhash_sql(),
@@ -8811,7 +8478,6 @@ def oracle_sql() -> dict[str, str]:
         "daily_distinct_users": so.daily_distinct_users_sql(),
         "dedup_eval": so.dedup_eval_sql(20, 3),
         "reciprocity": so.reciprocity_sql(),
-        "session_trigrams": so.session_trigrams_sql(10),
         "ltr_features": so.ltr_features_sql(LTR_QUERIES, TOPK),
         "boilerplate_prefixes": so.boilerplate_prefixes_sql(20, 3),
         "skyline_docs": so.skyline_sql(),

@@ -1,15 +1,12 @@
 """Funnel analysis over an event log — the classic product-analytics
-primitive (no reference analog; SURVEY §2.11 bonus family alongside
-events_window / sessionize): how many users reach each ordered step,
-where step i counts only if it happens strictly AFTER the user's first
-completion of step i-1.
+primitive (no reference analog; SURVEY §2.11 bonus family): how many
+users reach each ordered step, where step i counts only if it happens
+strictly AFTER the user's first completion of step i-1.
 
-Ray shape: ONE hash shuffle (groupby(user_id).map_groups) — the same
-user_id partitioning key the sessionize op uses, so the two stages can
-share a shuffle in a combined pipeline. Inside each group the step
-cascade is a vectorized argsort + searchsorted pass, no per-row Python
-beyond the step loop (len(steps) iterations). Output is (step, n_users)
-— group-count-sized, never corpus-sized.
+Ray shape: ONE hash shuffle (groupby(user_id).map_groups). Inside each
+group the step cascade is a vectorized argsort + searchsorted pass, no
+per-row Python beyond the step loop (len(steps) iterations). Output is
+(step, n_users) — group-count-sized, never corpus-sized.
 """
 
 from __future__ import annotations

@@ -1642,56 +1642,6 @@ SELECT CAST(row_number() OVER (ORDER BY score DESC, doc_id ASC) AS BIGINT) AS ra
 FROM scored ORDER BY score DESC, doc_id ASC LIMIT {k}"""
 
 
-def events_window_sql() -> str:
-    return """SELECT event_type,
-       CAST(epoch_us(ts) // 3600000000 AS BIGINT) AS win,
-       count(*) AS n_events,
-       min(user_id) AS min_user,
-       max(user_id) AS max_user
-FROM events
-GROUP BY event_type, CAST(epoch_us(ts) // 3600000000 AS BIGINT)
-ORDER BY event_type, win"""
-
-
-def events_topk_users_sql(top_n: int = 3) -> str:
-    """Continuous top-k oracle: per 1h tumbling window the top-N users by
-    event count, ties → lower user_id."""
-    return f"""WITH w AS (
-  SELECT CAST(epoch_us(ts) // 3600000000 AS BIGINT) AS win, user_id
-  FROM events
-),
-cnt AS (SELECT win, user_id, count(*) AS n FROM w GROUP BY win, user_id)
-SELECT win,
-       CAST(row_number() OVER (PARTITION BY win
-                               ORDER BY n DESC, user_id ASC) AS BIGINT) AS rank,
-       user_id, CAST(n AS BIGINT) AS n
-FROM cnt QUALIFY rank <= {top_n} ORDER BY win, rank"""
-
-
-def events_sessionize_sql(gap_us: int = 30 * 60 * 1_000_000) -> str:
-    """Sessionization oracle: window-function gap split, ties broken by
-    event_id like ops/sessions.py sessionize_group."""
-    return f"""WITH e AS (
-  SELECT user_id, event_id, epoch_us(ts) AS ts_us FROM events
-),
-o AS (
-  SELECT user_id, event_id, ts_us,
-    CASE WHEN ts_us - lag(ts_us) OVER w > {gap_us} THEN 1 ELSE 0 END AS brk
-  FROM e WINDOW w AS (PARTITION BY user_id ORDER BY ts_us, event_id)
-),
-s AS (
-  SELECT user_id, ts_us,
-    sum(brk) OVER (PARTITION BY user_id ORDER BY ts_us, event_id
-                   ROWS UNBOUNDED PRECEDING) AS session_id
-  FROM o
-)
-SELECT user_id, CAST(session_id AS BIGINT) AS session_id,
-       min(ts_us) AS start_us, max(ts_us) AS end_us,
-       CAST(count(*) AS BIGINT) AS n_events
-FROM s GROUP BY user_id, session_id
-ORDER BY user_id, session_id"""
-
-
 def semi_join_sql() -> str:
     return """SELECT o.o_orderkey, o.o_custkey
 FROM orders o
@@ -5366,172 +5316,6 @@ SELECT doc_id, n_paras, n_kept,
 FROM agg ORDER BY doc_id"""
 
 
-def curation_funnel_sql(mod: int = 10, min_words: int = 50,
-                        max_words: int = 100000) -> str:
-    """Curation-funnel oracle (ops/curation.py): per-stage retention of
-    C4 page filter -> Gopher rules -> LM fluency (avg_w >= tail cutoff c2)
-    over the augmented corpus.  Reference LM counts come from the RAW
-    doc_id%mod==0 slice (the out-of-domain model, CCNet's Wikipedia
-    analog); the tercile cutoff c2 is rank-selected from the AUGMENTED
-    reference slice's scores — the same text form the corpus is scored
-    on, so the tail boundary has bite."""
-    from lucenenet_ray.ops.webclean import GOPHER_STOPWORDS
-
-    stop_list = ", ".join(f"'{s}'" for s in GOPHER_STOPWORDS)
-    return f"""WITH aug AS (
-  SELECT doc_id, {_webclean_aug_expr()} AS t FROM documents
-),
--- C4 page keep over aug
-c4l AS (
-  SELECT doc_id, t,
-         list_filter(string_split(t, chr(10)),
-            x -> substr(x, len(x), 1) IN ('.', '!', '?', '"')
-                 AND len(list_filter(string_split(x, ' '), y -> y <> '')) >= 3
-                 AND NOT contains(x, 'javascript')) AS kept
-  FROM aug
-),
-c4 AS (
-  SELECT doc_id,
-    CASE WHEN len(clean) - len(replace(clean, '.', ''))
-              + len(clean) - len(replace(clean, '!', ''))
-              + len(clean) - len(replace(clean, '?', '')) >= 5
-          AND NOT contains(t, 'lorem ipsum')
-          AND NOT contains(t, chr(123))
-     THEN 1 ELSE 0 END AS c4_keep
-  FROM (SELECT doc_id, t,
-               COALESCE(array_to_string(kept, chr(10)), '') AS clean
-        FROM c4l)
-),
--- Gopher keep over aug
-gw AS (
-  SELECT doc_id, t,
-         list_filter(string_split_regex(t, '[ \\n]'), x -> x <> '') AS words,
-         string_split(t, chr(10)) AS lines
-  FROM aug
-),
-gfeat AS (
-  SELECT doc_id,
-    CAST(len(words) AS BIGINT) AS n_words,
-    CAST(COALESCE(list_sum(list_transform(words, x -> len(x))), 0) AS BIGINT)
-      AS chars,
-    CAST(len(list_filter(words, x -> regexp_matches(x, '[a-zA-Z]')))
-      AS BIGINT) AS alpha,
-    CAST(len(t) - len(replace(t, '#', ''))
-         + (len(t) - len(replace(t, '...', ''))) // 3 AS BIGINT) AS symbols,
-    CAST(len(lines) AS BIGINT) AS nl,
-    CAST(len(list_filter(lines, x -> substr(x, 1, 2) = '- ')) AS BIGINT)
-      AS bullets,
-    CAST(len(list_filter(lines,
-         x -> len(x) >= 3 AND substr(x, len(x) - 2, 3) = '...')) AS BIGINT)
-      AS ell,
-    CAST(len(list_filter([{stop_list}], s -> list_contains(words, s)))
-      AS BIGINT) AS stops
-  FROM gw
-),
-g AS (
-  SELECT doc_id,
-    CASE WHEN n_words BETWEEN {min_words} AND {max_words}
-          AND 3 * n_words <= chars AND chars <= 10 * n_words
-          AND 10 * symbols <= n_words
-          AND 10 * bullets <= 9 * nl
-          AND 10 * ell <= 3 * nl
-          AND 5 * alpha >= 4 * n_words
-          AND stops >= 2
-     THEN 1 ELSE 0 END AS g_keep
-  FROM gfeat
-),
--- reference LM (RAW slice) + cutoffs (lm_buckets_sql semantics)
-rtoks AS (
-  SELECT doc_id,
-         unnest(string_split(text, ' ')) AS term,
-         unnest(range(len(string_split(text, ' ')))) AS pos
-  FROM documents
-),
-rtok AS (SELECT * FROM rtoks WHERE term <> ''),
-uni AS (
-  SELECT term, CAST(count(*) AS BIGINT) AS c
-  FROM rtok WHERE doc_id % {mod} = 0 GROUP BY term
-),
-tot AS (
-  SELECT CAST(count(*) AS BIGINT) AS c FROM rtok WHERE doc_id % {mod} = 0
-),
-rpairs AS (
-  SELECT doc_id, w1, w2 FROM (
-    SELECT doc_id, term AS w1,
-           lead(term) OVER (PARTITION BY doc_id ORDER BY pos) AS w2
-    FROM rtok
-  ) WHERE w2 IS NOT NULL
-),
-big AS (
-  SELECT w1, w2, CAST(count(*) AS BIGINT) AS c
-  FROM rpairs WHERE doc_id % {mod} = 0 GROUP BY w1, w2
-),
--- corpus fluency over AUG text against the raw-slice model
-atoks AS (
-  SELECT doc_id,
-         unnest(string_split(t, ' ')) AS term,
-         unnest(range(len(string_split(t, ' ')))) AS pos
-  FROM aug
-),
-atok AS (SELECT * FROM atoks WHERE term <> ''),
-apairs AS (
-  SELECT doc_id, w1, w2 FROM (
-    SELECT doc_id, term AS w1,
-           lead(term) OVER (PARTITION BY doc_id ORDER BY pos) AS w2
-    FROM atok
-  ) WHERE w2 IS NOT NULL
-),
-ascored AS (
-  SELECT p.doc_id,
-         CASE
-           WHEN b.c IS NOT NULL THEN CAST((1000000 * b.c) // u1.c AS BIGINT)
-           WHEN u2.c IS NOT NULL THEN CAST((4000000 * u2.c)
-                // (10 * (SELECT c FROM tot)) AS BIGINT)
-           ELSE CAST(0 AS BIGINT)
-         END AS w
-  FROM apairs p
-  LEFT JOIN big b ON b.w1 = p.w1 AND b.w2 = p.w2
-  LEFT JOIN uni u1 ON u1.term = p.w1
-  LEFT JOIN uni u2 ON u2.term = p.w2
-),
-adoc AS (
-  SELECT doc_id, CAST(sum(w) // count(*) AS BIGINT) AS avg_w
-  FROM ascored GROUP BY doc_id
-),
--- tercile cutoff on the AUGMENTED reference slice (the same text form
--- the corpus is scored on; lm_bucket_cutoffs semantics)
-ranked AS (
-  SELECT avg_w, row_number() OVER (ORDER BY avg_w DESC) AS rn
-  FROM adoc WHERE doc_id % {mod} = 0
-),
-nref AS (SELECT CAST(count(*) AS BIGINT) AS n FROM ranked),
-cuts AS (
-  SELECT (SELECT avg_w FROM ranked
-           WHERE rn = (2 * (SELECT n FROM nref) + 2) // 3) AS c2
-),
-flags AS (
-  SELECT a.doc_id, c4.c4_keep, g.g_keep, d.avg_w
-  FROM aug a
-  JOIN c4 USING (doc_id)
-  JOIN g USING (doc_id)
-  LEFT JOIN adoc d USING (doc_id)
-)
-SELECT * FROM (
-  SELECT CAST(0 AS BIGINT) AS stage, 'total' AS name,
-         CAST(count(*) AS BIGINT) AS n_docs FROM flags
-  UNION ALL
-  SELECT CAST(1 AS BIGINT), 'c4_page', CAST(count(*) AS BIGINT)
-  FROM flags WHERE c4_keep = 1
-  UNION ALL
-  SELECT CAST(2 AS BIGINT), 'gopher', CAST(count(*) AS BIGINT)
-  FROM flags WHERE c4_keep = 1 AND g_keep = 1
-  UNION ALL
-  SELECT CAST(3 AS BIGINT), 'fluent', CAST(count(*) AS BIGINT)
-  FROM flags WHERE c4_keep = 1 AND g_keep = 1
-    AND avg_w IS NOT NULL AND avg_w >= (SELECT c2 FROM cuts)
-) ORDER BY stage"""
-
-
 def dsir_sql(n_buckets: int = 4096, target_lang: str = "en",
              k: int = 20) -> str:
     """DSIR importance-weight oracle (ops/dsir.py): hashed uni+bigram
@@ -6939,38 +6723,6 @@ FROM x GROUP BY event_type, k_bucket
 ORDER BY event_type, k_bucket"""
 
 
-def session_pairs_sql(k: int = 25, gap_us: int = 30 * 60 * 1_000_000) -> str:
-    """Co-click pair oracle (ops/clickpairs.py session_pairs_topk): same
-    30-min-gap sessionization (ts, event_id order), items = props.k,
-    DISTINCT items per session, unordered pairs counted once per
-    session, (n_sessions desc, a, b) top-k."""
-    return f"""WITH x AS (
-  SELECT user_id, ts, event_id,
-         CAST(json_extract(props, '$.k') AS INTEGER) AS item,
-         CASE WHEN epoch_us(ts) - lag(epoch_us(ts)) OVER
-                (PARTITION BY user_id ORDER BY ts, event_id) > {gap_us}
-              THEN 1 ELSE 0 END AS brk
-  FROM events
-),
-s AS (
-  SELECT user_id, item,
-         SUM(brk) OVER (PARTITION BY user_id ORDER BY ts, event_id
-                        ROWS UNBOUNDED PRECEDING) AS sess
-  FROM x
-),
-si AS (SELECT DISTINCT user_id, sess, item FROM s),
-p AS (
-  SELECT a.item AS ia, b.item AS ib
-  FROM si a JOIN si b
-    ON a.user_id = b.user_id AND a.sess = b.sess AND a.item < b.item
-)
-SELECT CAST(ia AS BIGINT) AS item_a, CAST(ib AS BIGINT) AS item_b,
-       CAST(count(*) AS BIGINT) AS n_sessions
-FROM p GROUP BY ia, ib
-ORDER BY n_sessions DESC, item_a ASC, item_b ASC
-LIMIT {k}"""
-
-
 def cdc_dedup_sql(w: int = 8, d: int = 64) -> str:
     """CDC chunk-dedup oracle (ops/cdc_chunks.py): positional probe of the
     window fingerprint cut rule, chunk spans via lag over the cut set
@@ -7167,26 +6919,6 @@ WHERE node IN (SELECT node FROM s{rounds})
 ORDER BY node"""
 
 
-def butterfly_sql() -> str:
-    """Butterfly-count oracle (ops/clickpairs.py butterfly_counts):
-    distinct (user, item) edges with item = props.k; pair support via
-    per-user self-join; butterflies = sum c*(c-1)//2."""
-    return """WITH e AS (
-  SELECT DISTINCT user_id AS u,
-         CAST(json_extract(props, '$.k') AS INTEGER) AS it
-  FROM events
-),
-p AS (
-  SELECT a.it AS ia, b.it AS ib, count(*) AS c
-  FROM e a JOIN e b ON a.u = b.u AND a.it < b.it
-  GROUP BY a.it, b.it
-)
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM e) AS n_edges,
-       CAST(count(*) AS BIGINT) AS n_item_pairs,
-       CAST(COALESCE(SUM(c * (c - 1) // 2), 0) AS BIGINT) AS n_butterflies
-FROM p"""
-
-
 def spell_variant_pairs_sql(k: int = 20) -> str:
     """SymSpell oracle (ops/symspell.py spell_variant_pairs): same
     deletion-key join over the vocabulary, exact distance-1 verification
@@ -7359,35 +7091,6 @@ SELECT doc_id,
 FROM v
 WHERE v1 <> v2 AND greatest(v1, v2) > 0
 ORDER BY doc_id"""
-
-
-def mutual_align_sql(lang_a: str = "fr", lang_b: str = "de") -> str:
-    """Bitext mutual-top-1 oracle (ops/bitext.py mutual_align): cosine
-    sims across the two language partitions, top-1 each direction
-    (sim desc, id asc), mutual join."""
-    return f"""WITH sims AS MATERIALIZED (
-  SELECT a.doc_id AS a, b.doc_id AS b,
-         list_cosine_similarity(ea.embedding, eb.embedding) AS s
-  FROM (SELECT doc_id FROM documents WHERE lang = '{lang_a}') a
-  JOIN embeddings ea ON ea.vec_id = a.doc_id
-  CROSS JOIN (SELECT doc_id FROM documents WHERE lang = '{lang_b}') b
-  JOIN embeddings eb ON eb.vec_id = b.doc_id
-),
-t1 AS (
-  SELECT a, b FROM (
-    SELECT a, b, row_number() OVER (PARTITION BY a
-                                    ORDER BY s DESC, b ASC) AS rn
-    FROM sims) WHERE rn = 1
-),
-t2 AS (
-  SELECT a, b FROM (
-    SELECT a, b, row_number() OVER (PARTITION BY b
-                                    ORDER BY s DESC, a ASC) AS rn
-    FROM sims) WHERE rn = 1
-)
-SELECT t1.a AS doc_a, t1.b AS doc_b
-FROM t1 JOIN t2 ON t2.b = t1.b AND t2.a = t1.a
-ORDER BY doc_a"""
 
 
 def random_walks_sql(walk_len: int = 5, start_mod: int = 37) -> str:
@@ -8632,45 +8335,6 @@ SELECT CAST(sum(f + w) AS BIGINT) AS n_directed,
             ELSE (2 * CAST(sum(f * w) AS HUGEINT) * 1000000000)
                  // sum(f + w) END AS BIGINT) AS reciprocity_fp
 FROM p"""
-
-
-def session_trigrams_sql(k: int = 10,
-                         gap_us: int = 30 * 60 * 1_000_000) -> str:
-    """Session-path-trigram oracle (ops/sessions.py
-    session_path_trigrams): per-user (ts, event_type)-ordered stream,
-    30-min-gap session split, adjacent within-session triples,
-    (count desc, trigram asc) top-k."""
-    return f"""WITH o AS (
-  SELECT user_id, event_type,
-         epoch_us(ts) AS tu,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY ts, event_type) AS p
-  FROM events
-),
-g AS (
-  SELECT user_id, event_type, p,
-         sum(CASE WHEN tu - prev_tu > {gap_us} THEN 1 ELSE 0 END)
-           OVER (PARTITION BY user_id ORDER BY p) AS sess
-  FROM (
-    SELECT *, lag(tu) OVER (PARTITION BY user_id ORDER BY p) AS prev_tu
-    FROM o)
-),
-tri AS (
-  SELECT a.event_type || '>' || b.event_type || '>' || c.event_type
-           AS trigram
-  FROM g a
-  JOIN g b ON b.user_id = a.user_id AND b.p = a.p + 1
-          AND b.sess = a.sess
-  JOIN g c ON c.user_id = a.user_id AND c.p = a.p + 2
-          AND c.sess = a.sess
-),
-agg AS (
-  SELECT trigram, CAST(count(*) AS BIGINT) AS n FROM tri GROUP BY trigram
-)
-SELECT CAST(row_number() OVER (ORDER BY n DESC, trigram ASC) AS BIGINT)
-         AS rank,
-       trigram, n
-FROM agg ORDER BY n DESC, trigram ASC LIMIT {k}"""
 
 
 def ltr_features_sql(queries: list[tuple[str, list[str]]],

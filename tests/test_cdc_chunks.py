@@ -172,35 +172,6 @@ def test_weak_labels(ray_session):
     assert rows == [(0, 1, 2), (1, 2, 1), (4, 1, 2)]
 
 
-def test_bitext_mutual_align(ray_session):
-    import numpy as np
-    import ray.data as rd
-
-    from lucenenet_ray.ops.bitext import mutual_align
-
-    # fr docs 0,1; de docs 2,3,4. Construct: 0<->2 mutual; 1's top is 3
-    # but 3's best is 0? make 1<->3 mutual and 4 unmatched (its best fr
-    # doc 0 prefers 2).
-    vecs = {
-        0: [1.0, 0.0, 0.0], 2: [0.9, 0.1, 0.0],    # mutual pair
-        1: [0.0, 1.0, 0.0], 3: [0.0, 0.9, 0.1],    # mutual pair
-        4: [0.5, 0.0, 0.5],                        # closest fr is 0
-    }
-    docs = rd.from_arrow(pa.table({
-        "doc_id": [0, 1, 2, 3, 4],
-        "lang": ["fr", "fr", "de", "de", "de"],
-    })).repartition(2)
-    emb = rd.from_arrow(pa.table({
-        "vec_id": list(vecs),
-        "embedding": pa.array([vecs[k] for k in vecs],
-                              type=pa.list_(pa.float64())),
-    })).repartition(3)
-    t = mutual_align(docs, emb, "fr", "de")
-    pairs = list(zip(t.column("doc_a").to_pylist(),
-                     t.column("doc_b").to_pylist()))
-    assert pairs == [(0, 2), (1, 3)]   # 4 correctly unmatched
-
-
 def test_rocchio_expansion(ray_session, documents_index):
     from lucenenet_ray.ops.rocchio import rocchio_expand
     from lucenenet_ray.search.query import parse_query

@@ -97,22 +97,17 @@ class _NoRowScan:
 
 
 def test_retrieval_extras_never_row_scan(ray_session, tmp_path):
-    """coreset / bitext / clustered-near-dup run with per-row Dataset
-    access forbidden (VERDICT r3: 'add a pytest asserting the embeddings
-    table is never row-iterated on the driver')."""
-    from lucenenet_ray.ops.bitext import mutual_align
+    """coreset / clustered-near-dup run with per-row Dataset access
+    forbidden (VERDICT r3: 'add a pytest asserting the embeddings table is
+    never row-iterated on the driver')."""
     from lucenenet_ray.ops.coreset import kcenter_greedy
     from lucenenet_ray.ops.knn import cosine_pairs_clustered
 
     emb = rd.read_parquet(f"{SF_DIR}/embeddings.parquet",
                           columns=["vec_id", "embedding"])
-    docs = rd.read_parquet(f"{SF_DIR}/documents.parquet",
-                           columns=["doc_id", "lang"])
     with _NoRowScan():
         sel = kcenter_greedy(emb, rounds=4, seed_id=0)
         assert sel.num_rows == 4
-        pairs = mutual_align(docs, emb, "fr", "de")
-        assert pairs.num_rows > 0
         cp = cosine_pairs_clustered(emb, THR, n_clusters=K)
         assert cp.num_rows > 0
 

@@ -74,42 +74,6 @@ def test_props_extract(ray_session):
     assert rows == [("a", 0, 1, 125), ("a", 1, 2, 500), ("b", 0, 1, 10)]
 
 
-def test_session_pairs_hand_worked(ray_session):
-    import numpy as np
-    import ray.data as rd
-
-    from lucenenet_ray.ops.clickpairs import session_pairs_topk
-
-    us = 1_000_000
-    gap = 30 * 60 * us
-
-    def ev(eid, uid, t_us, k):
-        return (eid, uid, t_us, '{"k": %d}' % k)
-
-    rows = [
-        # user 1, session 0: items {5, 7, 5} -> pair (5,7) once
-        ev(0, 1, 0, 5), ev(1, 1, 10 * us, 7), ev(2, 1, 20 * us, 5),
-        # user 1, session 1 (after gap): {5, 7} -> (5,7) again
-        ev(3, 1, gap + 30 * us, 5), ev(4, 1, gap + 40 * us, 7),
-        # user 2, one session: {5, 7, 9} -> (5,7) (5,9) (7,9)
-        ev(5, 2, 0, 9), ev(6, 2, 5 * us, 7), ev(7, 2, 9 * us, 5),
-        # user 3: single-item session -> nothing
-        ev(8, 3, 0, 11),
-    ]
-    eid, uid, t, props = zip(*rows)
-    ds = rd.from_arrow(pa.table({
-        "event_id": pa.array(eid, type=pa.int64()),
-        "user_id": pa.array(uid, type=pa.int64()),
-        "ts": pa.array(np.array(t, dtype="datetime64[us]")),
-        "props": pa.array(props, type=pa.string()),
-    })).repartition(3)
-    got = session_pairs_topk(ds, k=10)
-    rows_out = list(zip(got.column("item_a").to_pylist(),
-                        got.column("item_b").to_pylist(),
-                        got.column("n_sessions").to_pylist()))
-    assert rows_out == [(5, 7, 3), (5, 9, 1), (7, 9, 1)]
-
-
 def test_group_split_no_leakage(ray_session):
     import ray.data as rd
 
@@ -211,25 +175,3 @@ def test_record_linkage_bruteforce(ray_session):
         "n_candidates", "n_matches", "n_true_found",
         "n_true_in_blocks", "n_true_total")) == want
     assert total > tb > 0  # blocking recall loss is real and measured
-
-
-def test_butterflies_hand_worked(ray_session):
-    import ray.data as rd
-
-    from lucenenet_ray.ops.clickpairs import butterfly_counts
-
-    # users 1,2 both touch items {5,7} -> pair (5,7) c=2 -> 1 butterfly;
-    # user 3 adds (5,9),(7,9) pairs with c=1 each -> no butterflies;
-    # duplicate (1,5) events collapse to one edge
-    rows = [(1, 5), (1, 5), (1, 7), (2, 5), (2, 7), (3, 5), (3, 7),
-            (3, 9)]
-    uid, it = zip(*rows)
-    ds = rd.from_arrow(pa.table({
-        "user_id": pa.array(uid, type=pa.int64()),
-        "props": pa.array(['{"k": %d}' % k for k in it]),
-    })).repartition(3)
-    t = butterfly_counts(ds)
-    assert t.column("n_edges").to_pylist() == [7]
-    # pairs: u1:{(5,7)} u2:{(5,7)} u3:{(5,7),(5,9),(7,9)} -> c(5,7)=3
-    assert t.column("n_item_pairs").to_pylist() == [3]
-    assert t.column("n_butterflies").to_pylist() == [3]  # C(3,2)

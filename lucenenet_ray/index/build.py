@@ -45,7 +45,12 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from lucenenet_ray.analysis.standard import StandardAnalyzer
-from lucenenet_ray.index.codec import encode_postings, write_vints
+from lucenenet_ray.index.codec import (
+    _grouped_take,
+    encode_postings,
+    read_vints,
+    write_vints,
+)
 from lucenenet_ray.util.smallfloat import encode_norm
 
 DOCLEN_TERM = ""  # sentinel term: per-bucket doc-length rows (sorts first)
@@ -445,30 +450,42 @@ def _split_vint_stream(stream: np.ndarray, counts: np.ndarray) -> list[bytes]:
     return [bytes(raw[byte_bound[i] : byte_bound[i + 1]]) for i in range(len(counts))]
 
 
-def _binary_blob(col: "pa.ChunkedArray", take_idx: "pa.Array") -> bytes:
-    """Concatenate a binary column's values in ``take_idx`` order as one
-    buffer. ``Array.take`` materializes values contiguously in taken order,
-    so the result's data buffer IS the concatenation — a single C gather
-    instead of a per-row ``.as_py()`` + join loop. Nulls contribute b''."""
-    arr = col.combine_chunks().take(take_idx)
-    offs_buf = arr.buffers()[1]
+def _binary_parts(col: "pa.ChunkedArray") -> tuple[np.ndarray, np.ndarray]:
+    """A binary column's values back to back, in row order, as one uint8
+    array, and each row's byte offsets into it: the combined array's data
+    buffer between its first and last offsets, with no per-row
+    ``.as_py()`` + join loop."""
+    arr = col.combine_chunks()
+    dt = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
+    offs = np.frombuffer(arr.buffers()[1], dtype=dt)[
+        arr.offset : arr.offset + len(arr) + 1].astype(np.int64)
     data_buf = arr.buffers()[2]
-    if data_buf is None:
-        return b""
-    width = 8 if pa.types.is_large_binary(arr.type) else 4
-    dt = np.int64 if width == 8 else np.int32
-    offs = np.frombuffer(offs_buf, dtype=dt)[arr.offset : arr.offset + len(arr) + 1]
-    data = np.frombuffer(data_buf, dtype=np.uint8)
-    return data[int(offs[0]) : int(offs[-1])].tobytes()
+    data = (np.frombuffer(data_buf, dtype=np.uint8) if data_buf is not None
+            else np.empty(0, dtype=np.uint8))
+    return data[offs[0] : offs[-1]], offs - offs[0]
 
 
-def _grouped_take(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Vectorized concat of aranges: [starts[i] .. starts[i]+lengths[i]) ."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    shifted = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    return np.arange(total, dtype=np.int64) + np.repeat(starts - shifted, lengths)
+def _binary_array(data: np.ndarray | bytes, offs: np.ndarray) -> pa.Array:
+    """large_binary column whose row i is ``data[offs[i]:offs[i+1]]``."""
+    return pa.Array.from_buffers(
+        pa.large_binary(), len(offs) - 1,
+        [None, pa.py_buffer(np.ascontiguousarray(offs, dtype=np.int64)),
+         pa.py_buffer(data)])
+
+
+def _list_array(values: np.ndarray, offs: np.ndarray, typ) -> pa.Array:
+    """list<typ> column whose row i is ``values[offs[i]:offs[i+1]]``."""
+    return pa.ListArray.from_arrays(pa.array(offs, type=pa.int32()),
+                                    pa.array(values, type=typ))
+
+
+def _run_max(vals: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """Maximum of each run ``vals[offs[i]:offs[i+1]]``; 0 for an empty run."""
+    out = np.zeros(len(offs) - 1, dtype=np.int64)
+    nonempty = offs[1:] > offs[:-1]
+    if nonempty.any():
+        out[nonempty] = np.maximum.reduceat(vals, offs[:-1][nonempty])
+    return out
 
 
 def _segmented_cumsum_reset(deltas: np.ndarray, run_starts: np.ndarray,
@@ -569,196 +586,118 @@ def invert_batch_fn(batch: pa.Table, cfg: IndexConfig, text_col: str,
 
 
 def _merge_group(group: pa.Table, store_positions: bool,
-                 codec: str = "vint") -> pa.Table:
-    """Merge all partial rows of one (bucket, hpart) group: for every term,
-    concatenate the per-batch runs, sort by docID, and encode the canonical
-    chunk (delta+VInt + 128-block skip/block-max metadata).
+                 codec: str) -> pa.Table:
+    """Merge all partial rows of one (bucket, hpart) group: concatenate each
+    term's per-batch runs, sort them by docID, and encode every term's
+    canonical chunk (d-gaps + 128-block skip/block-max metadata) in ONE
+    ``encode_postings`` call over the whole group.
 
     Mirrors ``SegmentMerger.MergeTerms`` (SegmentMerger.cs:443): a k-way
-    per-term postings merge in term order — fully vectorized here (sort +
-    grouped gathers; VInt position streams are bulk-decoded, reordered to the
-    merged doc order, and re-encoded in single numpy passes).
+    per-term postings merge in term order — fully vectorized here, with no
+    per-term loop: one lexsort of every posting by (term, doc), grouped
+    gathers of the position/payload bytes, and output columns assembled
+    from offsets and buffers.
     """
-    from lucenenet_ray.index.codec import read_vints
-
     terms = group.column("term").to_numpy(zero_copy_only=False)
     bucket = int(group.column("bucket")[0].as_py())
     row_lens = group.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
+    uniq, row_term = np.unique(terms, return_inverse=True)
 
-    order = np.argsort(terms, kind="stable")
-    terms_s = terms[order]
-    new_term = np.empty(len(terms_s), dtype=bool)
-    if len(terms_s):
-        new_term[0] = True
-        new_term[1:] = terms_s[1:] != terms_s[:-1]
-    starts = np.flatnonzero(new_term)
-    ends = np.append(starts[1:], len(terms_s))
-
-    # bulk-decode the partial rows in term-sorted row order: the reorder-and-
-    # concatenate of each binary column is ONE arrow take (the taken array's
-    # data buffer IS the bytes in row order) — no per-row Python join
-    srow_lens = row_lens[order]
-    srow_offs = np.concatenate(([0], np.cumsum(srow_lens)))
-    take_idx = pa.array(order)
-    doc_blob = _binary_blob(group.column("doc_bytes"), take_idx)
-    freq_blob = _binary_blob(group.column("freq_bytes"), take_idx)
-    norm_blob = _binary_blob(group.column("norm_bytes"), take_idx)
-    total_vals = int(srow_offs[-1])
+    # bulk-decode the partial rows in row order: each binary column's data
+    # buffer IS its rows' bytes back to back
+    total_vals = int(row_lens.sum())
     # docs are raw little-endian int64 on the shuffle wire (see Inverter)
-    g_docs = np.frombuffer(doc_blob, dtype="<i8")
+    g_docs = np.frombuffer(_binary_parts(group.column("doc_bytes"))[0],
+                           dtype="<i8")
     if g_docs.size != total_vals:
         raise ValueError(
             f"doc stream corrupt: {g_docs.size} values, expected {total_vals}")
     g_docs = g_docs.astype(np.int64, copy=False)
-    g_freqs = read_vints(
-        np.frombuffer(freq_blob, dtype=np.uint8), total_vals
-    ).astype(np.int32)
-    g_norms = np.frombuffer(norm_blob, dtype=np.uint8)
+    g_freqs = read_vints(_binary_parts(group.column("freq_bytes"))[0],
+                         total_vals).astype(np.int32)
+    g_norms = _binary_parts(group.column("norm_bytes"))[0]
+
+    # one stable sort of every posting by (term, doc): rows of a term in
+    # any order, docIDs unique, so the result is independent of row order
+    pair_term = np.repeat(row_term, row_lens)
+    order = np.lexsort((g_docs, pair_term))
+    dfs = np.bincount(pair_term, minlength=uniq.size)
+    post_offs = np.concatenate(([0], np.cumsum(dfs)))
+    docs, freqs, norms = g_docs[order], g_freqs[order], g_norms[order]
+    enc = encode_postings(docs, freqs, norms, None, codec=codec, dfs=dfs)
 
     # Position streams are NEVER decoded in the merge: each (term, doc)
     # pair's run is a self-contained VInt segment (first delta absolute per
     # pair — see Inverter), and the final on-disk layout is the same per-doc
     # runs concatenated in merged doc order. So merging positions is a pure
     # BYTE reorder: scan terminators once to find each pair's byte segment,
-    # then gather segments per term in doc order. (Was: full decode →
-    # segmented cumsum → re-delta → re-encode; ~2/3 of reducer CPU.)
-    has_pos = store_positions
-    has_pay = "pay_bytes" in group.column_names
-    if has_pos:
-        pos_blob = _binary_blob(group.column("pos_bytes"), take_idx)
-        pb = np.frombuffer(pos_blob, dtype=np.uint8)
-        pos_ends = np.flatnonzero((pb & 0x80) == 0)
-        # pair value counts in row-sorted pair order; doclen sentinel rows
-        # carry no positions
-        is_doclen_row = terms_s == DOCLEN_TERM
-        pair_has_pos = ~np.repeat(is_doclen_row, srow_lens)
-        pos_counts = np.where(pair_has_pos, g_freqs.astype(np.int64), 0)
-        vbound = np.cumsum(pos_counts)
-        if int(vbound[-1] if vbound.size else 0) != pos_ends.size:
-            raise ValueError(
-                f"position stream corrupt: {pos_ends.size} values, "
-                f"expected {int(vbound[-1] if vbound.size else 0)}"
-            )
-        if pos_ends.size:
-            pair_byte_end = np.where(
-                vbound > 0, pos_ends[np.maximum(vbound, 1) - 1] + 1, 0
-            ).astype(np.int64)
-        else:
-            # group holds only doclen-sentinel rows (possible whenever a
-            # hash partition draws no position-bearing term — small
-            # corpora, or an hpart hosting only the sentinel): np.where
-            # evaluates both branches, so guard the empty-stream indexing
-            pair_byte_end = np.zeros(vbound.size, dtype=np.int64)
-        pair_byte_start = np.concatenate(([0], pair_byte_end[:-1]))
-        if has_pay:
-            # payload runs have the SAME per-pair value counts as positions
-            # (one payload per position), so the identical terminator-scan +
-            # byte-segment gather applies to the payload stream
-            pay_blob = _binary_blob(group.column("pay_bytes"), take_idx)
-            yb = np.frombuffer(pay_blob, dtype=np.uint8)
-            pay_ends = np.flatnonzero((yb & 0x80) == 0)
-            if int(vbound[-1] if vbound.size else 0) != pay_ends.size:
-                raise ValueError(
-                    f"payload stream corrupt: {pay_ends.size} values, "
-                    f"expected {int(vbound[-1] if vbound.size else 0)}"
-                )
-            if pay_ends.size:
-                pay_byte_end = np.where(
-                    vbound > 0, pay_ends[np.maximum(vbound, 1) - 1] + 1, 0
-                ).astype(np.int64)
-            else:
-                pay_byte_end = np.zeros(vbound.size, dtype=np.int64)
-            pay_byte_start = np.concatenate(([0], pay_byte_end[:-1]))
+    # then gather every segment in merged (term, doc) order. Payload runs
+    # have the same per-pair value counts (one payload per position).
+    run_names = ["pos_bytes"] + (
+        ["pay_bytes"] if "pay_bytes" in group.column_names else [])
+    run_cols = {name: _binary_array(b"", np.zeros(uniq.size + 1, np.int64))
+                for name in run_names}
+    if store_positions:
+        # doclen sentinel rows carry no positions
+        has_runs = np.repeat(terms != DOCLEN_TERM, row_lens)
+        vbound = np.cumsum(np.where(has_runs, g_freqs.astype(np.int64), 0))
+        expected = int(vbound[-1]) if vbound.size else 0
+        for name in run_names:
+            blob = _binary_parts(group.column(name))[0]
+            ends = np.flatnonzero((blob & 0x80) == 0)
+            if ends.size != expected:
+                kind = "position" if name == "pos_bytes" else "payload"
+                raise ValueError(f"{kind} stream corrupt: {ends.size} "
+                                 f"values, expected {expected}")
+            pair_end = np.zeros(vbound.size, dtype=np.int64)
+            if ends.size:
+                nz = vbound > 0
+                pair_end[nz] = ends[vbound[nz] - 1] + 1
+            pair_start = np.concatenate(([0], pair_end[:-1]))
+            pair_len = (pair_end - pair_start)[order]
+            run_cols[name] = _binary_array(
+                blob[_grouped_take(pair_start[order], pair_len)],
+                np.concatenate(([0], np.cumsum(pair_len)))[post_offs])
 
-    out = {k: [] for k in (
-        "bucket", "term", "df", "ttf", "max_freq", "max_norm", "doc_bytes",
-        "freq_bytes", "pos_bytes", "doclen_norm_bytes", "block_last_doc",
-        "block_doc_off", "block_freq_off", "block_max_freq", "block_max_norm",
-        "skip1_last_doc", "skip1_max_freq", "skip1_max_norm")}
-    if has_pay:
-        out["pay_bytes"] = []
-
-    for s, e in zip(starts, ends):
-        term = terms_s[s]
-        v0, v1 = srow_offs[s], srow_offs[e]
-        docs = g_docs[v0:v1]
-        freqs = g_freqs[v0:v1]
-        norms = g_norms[v0:v1]
-        ordd = np.argsort(docs, kind="stable")
-        docs = docs[ordd]
-        freqs = freqs[ordd]
-        norms = norms[ordd]
-
-        pos_stream = b""
-        pay_stream = b""
-        if has_pos and term != DOCLEN_TERM:
-            # gather this term's pairs' byte segments in merged doc order
-            bstarts = pair_byte_start[v0:v1][ordd]
-            blens = (pair_byte_end[v0:v1] - pair_byte_start[v0:v1])[ordd]
-            pos_stream = pb[_grouped_take(bstarts, blens)].tobytes()
-            if has_pay:
-                ystarts = pay_byte_start[v0:v1][ordd]
-                ylens = (pay_byte_end[v0:v1] - pay_byte_start[v0:v1])[ordd]
-                pay_stream = yb[_grouped_take(ystarts, ylens)].tobytes()
-
-        enc = encode_postings(docs, freqs, norms, None, codec=codec)
-        out["bucket"].append(bucket)
-        out["term"].append(term)
-        out["df"].append(len(docs))
-        out["ttf"].append(int(freqs.sum()))
-        out["max_freq"].append(int(freqs.max()) if len(freqs) else 0)
-        out["max_norm"].append(int(norms.max()) if len(norms) else 0)
-        out["doc_bytes"].append(enc["doc_bytes"])
-        out["freq_bytes"].append(enc["freq_bytes"])
-        out["pos_bytes"].append(pos_stream)
-        if has_pay:
-            out["pay_bytes"].append(pay_stream)
-        # the sentinel row keeps its per-doc norm BYTES (merged doc order):
-        # norms can't be re-derived from doc_len when an index-time boost is
-        # baked in (encode_norm(boost/sqrt(L))); dropped before the postings
-        # write so on-disk bytes are unchanged
-        out["doclen_norm_bytes"].append(
-            norms.tobytes() if term == DOCLEN_TERM else b"")
-        out["block_last_doc"].append(enc["block_last_doc"].tolist())
-        out["block_doc_off"].append(enc["block_doc_off"].tolist())
-        out["block_freq_off"].append(enc["block_freq_off"].tolist())
-        out["block_max_freq"].append(enc["block_max_freq"].tolist())
-        out["block_max_norm"].append(enc["block_max_norm"].tolist())
-        out["skip1_last_doc"].append(enc["skip1_last_doc"].tolist())
-        out["skip1_max_freq"].append(enc["skip1_max_freq"].tolist())
-        out["skip1_max_norm"].append(enc["skip1_max_norm"].tolist())
-
+    # the sentinel row keeps its per-doc norm BYTES (merged doc order):
+    # norms can't be re-derived from doc_len when an index-time boost is
+    # baked in (encode_norm(boost/sqrt(L))); dropped before the postings
+    # write so on-disk bytes are unchanged
+    is_doclen = uniq == DOCLEN_TERM
+    doclen_norms = norms[np.repeat(is_doclen, dfs)]
+    doclen_offs = np.concatenate(([0], np.cumsum(np.where(is_doclen, dfs, 0))))
+    freq_csum = np.concatenate(([0], np.cumsum(freqs, dtype=np.int64)))
+    blocks, skip1 = enc["block_offs"], enc["skip1_offs"]
     return pa.table(
         {
-            "bucket": pa.array(out["bucket"], type=pa.int32()),
-            "term": pa.array(out["term"], type=pa.string()),
-            "df": pa.array(out["df"], type=pa.int64()),
-            "ttf": pa.array(out["ttf"], type=pa.int64()),
-            "max_freq": pa.array(out["max_freq"], type=pa.int32()),
-            "max_norm": pa.array(out["max_norm"], type=pa.int32()),
-            "doc_bytes": pa.array(out["doc_bytes"], type=pa.large_binary()),
-            "freq_bytes": pa.array(out["freq_bytes"], type=pa.large_binary()),
-            "pos_bytes": pa.array(out["pos_bytes"], type=pa.large_binary()),
-            "doclen_norm_bytes": pa.array(out["doclen_norm_bytes"],
-                                          type=pa.large_binary()),
-            **({"pay_bytes": pa.array(out["pay_bytes"], type=pa.large_binary())}
-               if has_pay else {}),
-            "block_last_doc": pa.array(out["block_last_doc"], type=pa.list_(pa.int64())),
-            "block_doc_off": pa.array(out["block_doc_off"], type=pa.list_(pa.int64())),
-            "block_freq_off": pa.array(out["block_freq_off"], type=pa.list_(pa.int64())),
-            "block_max_freq": pa.array(out["block_max_freq"], type=pa.list_(pa.int32())),
-            "block_max_norm": pa.array(out["block_max_norm"], type=pa.list_(pa.int32())),
+            "bucket": pa.array(np.full(uniq.size, bucket), type=pa.int32()),
+            "term": pa.array(uniq, type=pa.string()),
+            "df": pa.array(dfs, type=pa.int64()),
+            "ttf": pa.array(np.diff(freq_csum[post_offs]), type=pa.int64()),
+            "max_freq": pa.array(_run_max(freqs, post_offs), type=pa.int32()),
+            "max_norm": pa.array(_run_max(norms, post_offs), type=pa.int32()),
+            "doc_bytes": _binary_array(enc["doc_bytes"], enc["doc_offs"]),
+            "freq_bytes": _binary_array(enc["freq_bytes"], enc["freq_offs"]),
+            "pos_bytes": run_cols["pos_bytes"],
+            "doclen_norm_bytes": _binary_array(doclen_norms, doclen_offs),
+            **({"pay_bytes": run_cols["pay_bytes"]}
+               if "pay_bytes" in run_cols else {}),
+            "block_last_doc": _list_array(enc["block_last_doc"], blocks, pa.int64()),
+            "block_doc_off": _list_array(enc["block_doc_off"], blocks, pa.int64()),
+            "block_freq_off": _list_array(enc["block_freq_off"], blocks, pa.int64()),
+            "block_max_freq": _list_array(enc["block_max_freq"], blocks, pa.int32()),
+            "block_max_norm": _list_array(enc["block_max_norm"], blocks, pa.int32()),
             # level-1 skip entries (MultiLevelSkipListWriter fan-out 128):
             # empty lists for terms below df = 128^2
-            "skip1_last_doc": pa.array(out["skip1_last_doc"], type=pa.list_(pa.int64())),
-            "skip1_max_freq": pa.array(out["skip1_max_freq"], type=pa.list_(pa.int32())),
-            "skip1_max_norm": pa.array(out["skip1_max_norm"], type=pa.list_(pa.int32())),
+            "skip1_last_doc": _list_array(enc["skip1_last_doc"], skip1, pa.int64()),
+            "skip1_max_freq": _list_array(enc["skip1_max_freq"], skip1, pa.int32()),
+            "skip1_max_norm": _list_array(enc["skip1_max_norm"], skip1, pa.int32()),
         }
     )
 
 
 def _merge_write_group(group: pa.Table, store_positions: bool,
-                       index_path: str, codec: str = "vint") -> pa.Table:
+                       index_path: str, codec: str) -> pa.Table:
     """Fused reducer: merge one (bucket, hpart) group's chunks, then write
     postings (term-sorted) and — for the hpart-0 group — the bucket's norms.
     Returns one manifest row."""
@@ -934,7 +873,7 @@ def _hash_shuffle_merge_write(block_refs, cfg: IndexConfig,
         if not tabs:
             return []
         # no table-level combine_chunks: it would copy every binary column
-        # once more — _binary_blob combines exactly the columns it gathers
+        # once more — _binary_parts combines exactly the columns it reads
         t = pa.concat_tables(tabs)
         key = (
             t.column("bucket").to_numpy(zero_copy_only=False).astype(np.int64)

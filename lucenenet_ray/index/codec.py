@@ -10,8 +10,15 @@ block-max arrays double as both (SURVEY §2.5).
 
 VInt semantics are Lucene's ``DataOutput.WriteVInt32/64``
 (``src/Lucene.Net/Store/DataOutput.cs:197-240``): 7 bits per byte, low group
-first, high bit = continuation. Encode/decode are vectorized numpy — no
-per-posting Python loops.
+first, high bit = continuation.
+
+Encode and decode are vectorized numpy with no per-posting Python loop.
+``encode_postings`` encodes a whole run of terms (a reducer's (bucket, hpart)
+group) in one pass with no per-term loop either: FOR frames are packed once
+per bit width, every parity tail goes through one ``write_vints`` call, and
+per-term and per-block byte offsets come from one terminator scan of each
+stream. Its cost grows with the postings, as Lucene's streaming postings
+writer does, not with the number of terms.
 
 Two codecs, selected per index (``IndexConfig.codec``, recorded in the
 manifest — the per-segment codec-name header of SegmentInfos):
@@ -63,19 +70,44 @@ SKIP1_FANOUT = 128
 def build_skip1(block_last_doc: np.ndarray, block_max_freq: np.ndarray,
                 block_max_norm: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                                      np.ndarray]:
-    """Level-1 skip entries: per SKIP1_FANOUT blocks, (last doc, max freq,
-    max norm). Empty until the term has at least 2 regions (df > 128²) —
-    Lucene's writer likewise only adds a level when it has ≥2 entries."""
+    """Level-1 skip entries of one term: per SKIP1_FANOUT blocks, (last doc,
+    max freq, max norm). Empty until the term has at least 2 regions
+    (df > 128²) — Lucene's writer likewise only adds a level when it has
+    ≥2 entries."""
     nb = len(block_last_doc)
-    if nb < SKIP1_FANOUT * 2:
+    return _skip1_runs(np.asarray(block_last_doc), np.asarray(block_max_freq),
+                       np.asarray(block_max_norm),
+                       np.array([0, nb], dtype=np.int64))[:3]
+
+
+def _skip1_runs(blk_last: np.ndarray, blk_maxf: np.ndarray,
+                blk_maxn: np.ndarray, block_offs: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``build_skip1`` over a run of terms whose level-0 entries are
+    ``[block_offs[t], block_offs[t+1])`` → the flat level-1 arrays plus each
+    term's level-1 offsets. Only terms with ≥ 2 regions get entries."""
+    nblk = np.diff(block_offs)
+    n1 = np.where(nblk >= SKIP1_FANOUT * 2,
+                  (nblk + SKIP1_FANOUT - 1) // SKIP1_FANOUT, 0)
+    skip1_offs = np.concatenate(([0], np.cumsum(n1))).astype(np.int64)
+    head = n1 > 0
+    if not head.any():
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32),
-                np.empty(0, dtype=np.int32))
-    starts = np.arange(0, nb, SKIP1_FANOUT, dtype=np.int64)
-    ends = np.minimum(starts + SKIP1_FANOUT, nb)
+                np.empty(0, dtype=np.int32), skip1_offs)
+    # compress to the head terms' blocks, so the regions tile the arrays
+    # and one reduceat per array takes every region's maximum
+    in_head = np.repeat(head, nblk)
+    hblk = nblk[head]
+    hoffs = np.concatenate(([0], np.cumsum(hblk)))
+    r_term = np.repeat(np.arange(hblk.size), n1[head])
+    r_k = np.arange(r_term.size) - np.repeat(skip1_offs[:-1][head], n1[head])
+    r_start = hoffs[r_term] + r_k * SKIP1_FANOUT
+    r_end = np.minimum(r_start + SKIP1_FANOUT, hoffs[r_term + 1])
     return (
-        np.asarray(block_last_doc)[ends - 1].astype(np.int64),
-        np.maximum.reduceat(np.asarray(block_max_freq), starts).astype(np.int32),
-        np.maximum.reduceat(np.asarray(block_max_norm), starts).astype(np.int32),
+        blk_last[in_head][r_end - 1].astype(np.int64),
+        np.maximum.reduceat(blk_maxf[in_head], r_start).astype(np.int32),
+        np.maximum.reduceat(blk_maxn[in_head], r_start).astype(np.int32),
+        skip1_offs,
     )
 
 DEFAULT_CODEC = "for"
@@ -96,19 +128,13 @@ CODECS = ("for", "vint", "simpletext")
 # decoding them. Semantics parity with the reference (a readable debug
 # format plugged into the same codec registry), not byte parity.
 
-def _encode_simpletext(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """→ (uint8 stream of ``<value>\\n`` lines, per-BLOCK_SIZE block start
-    byte offsets). Per-value Python formatting — this codec is explicitly
-    a debug format, never a hot path."""
+def _encode_simpletext(vals: np.ndarray) -> np.ndarray:
+    """→ uint8 stream of ``<value>\\n`` lines: one join over every value
+    (the formatting is per value in C; this codec is a debug format)."""
     if vals.size == 0:
-        return np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
-    strs = [str(int(v)) for v in vals.tolist()]
-    stream = np.frombuffer(("\n".join(strs) + "\n").encode("ascii"),
-                           dtype=np.uint8)
-    lens = np.fromiter((len(s) + 1 for s in strs), dtype=np.int64,
-                       count=len(strs))
-    starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    return stream, starts[::BLOCK_SIZE].copy()
+        return np.empty(0, dtype=np.uint8)
+    text = "\n".join(map(str, vals.tolist())) + "\n"
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
 
 
 def _decode_simpletext(buf: np.ndarray, count: int | None = None) -> np.ndarray:
@@ -126,21 +152,41 @@ def _decode_simpletext(buf: np.ndarray, count: int | None = None) -> np.ndarray:
 _PLANE_BYTES = BLOCK_SIZE // 8  # 16 bytes per bit-plane
 
 
-def _pack_for_block(vals: np.ndarray) -> bytes:
-    """One full FOR frame: width byte + w bit-PLANES of 16 bytes each —
-    plane j holds bit j of all 128 values (LSB-first). The plane layout is
-    this engine's choice (semantics parity with Lucene's FOR, not byte
-    parity): it makes bulk decode w contiguous unpack/shift passes instead
-    of per-value bit arithmetic."""
-    v = vals.astype("<u8")
-    mx = int(v.max()) if v.size else 0
-    w = max(1, mx.bit_length()) if mx else 0
-    if w == 0:
-        return bytes([0])
-    vb = v.view(np.uint8).reshape(BLOCK_SIZE, 8)
-    bits = np.unpackbits(vb, axis=1, bitorder="little")[:, :w]  # (128, w)
-    planes = np.packbits(bits.T.reshape(w * BLOCK_SIZE), bitorder="little")
-    return bytes([w]) + planes.tobytes()
+# 2**j for j < 64: searchsorted(_POW2, v, "right") is v's bit length
+_POW2 = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+
+def _pack_for_frames(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, 128) values → (k full FOR frames back to back, each frame's byte
+    size). A frame is a width byte + w bit-PLANES of 16 bytes each — plane j
+    holds bit j of all 128 values (LSB-first), w the bit length of the
+    block's maximum. The plane layout is this engine's choice (semantics
+    parity with Lucene's FOR, not byte parity): it makes bulk decode w
+    contiguous unpack/shift passes instead of per-value bit arithmetic.
+    Frames of equal width are packed together: one unpackbits/packbits pass
+    per width, not one per block."""
+    v = np.ascontiguousarray(vals, dtype="<u8")
+    k = v.shape[0]
+    widths = np.searchsorted(_POW2, v.max(axis=1), side="right") if k \
+        else np.empty(0, dtype=np.int64)
+    sizes = 1 + widths * _PLANE_BYTES
+    offs = np.concatenate(([0], np.cumsum(sizes)))
+    out = np.empty(int(offs[-1]), dtype=np.uint8)
+    out[offs[:-1]] = widths
+    vb = v.view(np.uint8).reshape(k, BLOCK_SIZE, 8)
+    for w in np.unique(widths):
+        w = int(w)
+        if w == 0:
+            continue
+        sel = np.flatnonzero(widths == w)
+        bits = np.unpackbits(vb[sel, :, : (w + 7) // 8], axis=2,
+                             bitorder="little")[:, :, :w]  # (s, 128, w)
+        planes = np.packbits(bits.transpose(0, 2, 1), axis=2,
+                             bitorder="little")  # (s, w, 16)
+        nbytes = w * _PLANE_BYTES
+        out[(offs[sel] + 1)[:, None] + np.arange(nbytes)] = \
+            planes.reshape(sel.size, nbytes)
+    return out, sizes
 
 
 def _frame_nbytes(w: int) -> int:
@@ -168,11 +214,14 @@ def _unpack_for_block(buf: np.ndarray, off: int) -> tuple[np.ndarray, int]:
     return _planes_to_vals(payload, 1, w)[0], off + 1 + nbytes
 
 
-def _encode_tail_parity(deltas: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+def _encode_tail_parity(deltas: np.ndarray, freqs: np.ndarray,
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Freq-parity VInt tail: (delta<<1)|(freq==1), then freq when > 1 —
-    interleaved, Lucene41's tail doc-stream layout."""
+    interleaved, Lucene41's tail doc-stream layout. Any run of tails
+    concatenated encodes in one call. → (stream, byte start of each posting
+    plus the stream length)."""
     if deltas.size == 0:
-        return np.empty(0, dtype=np.uint8)
+        return np.empty(0, dtype=np.uint8), np.zeros(1, dtype=np.int64)
     one = freqs == 1
     folded = (deltas.astype(np.uint64) << np.uint64(1)) | one.astype(np.uint64)
     vals = np.empty(deltas.size + int((~one).sum()), dtype=np.uint64)
@@ -180,30 +229,40 @@ def _encode_tail_parity(deltas: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     slot = np.arange(deltas.size) + np.concatenate(([0], np.cumsum(~one)[:-1]))
     vals[slot] = folded
     vals[slot[~one] + 1] = freqs[~one].astype(np.uint64)
-    return write_vints(vals)
+    stream = write_vints(vals)
+    value_start = _value_starts(stream, (stream & 0x80) == 0)
+    return stream, np.append(value_start[slot], stream.size)
 
 
 def _decode_tail_parity(buf: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """→ (deltas, freqs) of the ``count`` tail postings."""
+    """→ (deltas, freqs) of the first ``count`` tail postings in ``buf``.
+
+    A posting is one folded value, plus its freq value when the fold bit is
+    0. Every odd value ends a posting (a fold bit of 1, or an odd freq), so
+    the stream splits into segments that start at value 0 and after every
+    odd value; inside a segment, even offsets are folded deltas and odd
+    offsets are freqs."""
     if count == 0:
         return (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64))
     vals = read_vints(buf)  # count + #freq>1 values
-    deltas = np.empty(count, dtype=np.uint64)
-    freqs = np.empty(count, dtype=np.uint64)
-    i = 0
-    for k in range(count):
-        if i >= vals.size:
-            raise ValueError(
-                f"parity tail truncated: {vals.size} values for {count} postings")
-        v = int(vals[i]); i += 1
-        deltas[k] = v >> 1
-        if v & 1:
-            freqs[k] = 1
-        else:
-            if i >= vals.size:
-                raise ValueError("parity tail truncated at freq value")
-            freqs[k] = int(vals[i]); i += 1
-    return deltas, freqs
+    odd = (vals & np.uint64(1)).astype(bool)
+    seg_start = np.flatnonzero(np.concatenate(([True], odd[:-1])))
+    seg_len = np.diff(np.append(seg_start, vals.size))
+    offset = np.arange(vals.size) - np.repeat(seg_start, seg_len)
+    folded_at = np.flatnonzero(offset % 2 == 0)
+    # only the last posting read can lack its freq value
+    last_unpaired = (folded_at.size > 0 and not odd[folded_at[-1]]
+                     and folded_at[-1] + 1 >= vals.size)
+    if last_unpaired and folded_at.size <= count:
+        raise ValueError("parity tail truncated at freq value")
+    if folded_at.size < count:
+        raise ValueError(
+            f"parity tail truncated: {vals.size} values for {count} postings")
+    folded_at = folded_at[:count]
+    one = odd[folded_at]
+    freqs = np.ones(count, dtype=np.uint64)
+    freqs[~one] = vals[folded_at[~one] + 1]
+    return vals[folded_at] >> np.uint64(1), freqs
 
 
 def write_vints(values: np.ndarray) -> np.ndarray:
@@ -242,22 +301,49 @@ def read_vints(buf: np.ndarray, count: int | None = None) -> np.ndarray:
         # all values single-byte (the common case for freq streams):
         # one cast instead of the terminator-scan decode
         return b.astype(np.uint64)
-    is_end = (b & 0x80) == 0  # terminator bytes
-    # group index of each byte within its value
-    ends = np.flatnonzero(is_end)
+    ends = np.flatnonzero((b & 0x80) == 0)  # terminator bytes
     n = ends.size
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    lengths = ends - starts + 1
-    out = np.zeros(n, dtype=np.uint64)
-    max_len = int(lengths.max())
-    for g in range(max_len):
-        mask = lengths > g
-        out[mask] |= (b[starts[mask] + g].astype(np.uint64) & np.uint64(0x7F)) << np.uint64(
-            7 * g
-        )
     if count is not None and n != count:
         raise ValueError(f"VInt stream had {n} values, expected {count}")
-    return out
+    if n == 0:
+        raise ValueError("VInt stream holds no complete value")
+    # byte i carries 7 bits at 7 × (its index within its value); one OR per
+    # value over its bytes, with no pass per byte position
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    used = int(ends[-1]) + 1
+    shift = (np.arange(used) - np.repeat(starts, ends - starts + 1)) * 7
+    groups = (b[:used] & 0x7F).astype(np.uint64) << shift.astype(np.uint64)
+    return np.bitwise_or.reduceat(groups, starts)
+
+
+def _value_starts(stream: np.ndarray, is_end: np.ndarray) -> np.ndarray:
+    """Byte start of every value of a delimited stream, plus the stream
+    length: one scan for the value-terminating bytes (``is_end``)."""
+    return np.concatenate(([0], np.flatnonzero(is_end) + 1)).astype(np.int64)
+
+
+def _grouped_take(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Vectorized concat of aranges: [starts[i] .. starts[i]+lengths[i]) ."""
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    shifted = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - shifted, lengths)
+
+
+def _run_blocks(dfs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Block layout of a run of terms with ``dfs`` postings each: BLOCK_SIZE
+    postings per block, a term's last block partial → (per-term posting
+    offsets, per-term block offsets, and per block: its term, its first
+    posting, its posting count)."""
+    post_offs = np.concatenate(([0], np.cumsum(dfs))).astype(np.int64)
+    nblk = (dfs + BLOCK_SIZE - 1) // BLOCK_SIZE
+    block_offs = np.concatenate(([0], np.cumsum(nblk))).astype(np.int64)
+    blk_term = np.repeat(np.arange(dfs.size), nblk)
+    blk_k = np.arange(blk_term.size) - block_offs[:-1][blk_term]
+    blk_start = post_offs[:-1][blk_term] + blk_k * BLOCK_SIZE
+    blk_len = np.minimum(BLOCK_SIZE, dfs[blk_term] - blk_k * BLOCK_SIZE)
+    return post_offs, block_offs, blk_term, blk_start, blk_len
 
 
 def encode_postings(
@@ -266,113 +352,214 @@ def encode_postings(
     norms: np.ndarray,
     positions: list[np.ndarray] | None = None,
     codec: str = "vint",
+    dfs: np.ndarray | None = None,
 ) -> dict:
-    """Encode one term-chunk's postings (docs ascending, unique).
+    """Encode a run of terms' postings in one vectorized pass.
 
-    Returns a dict of binary buffers + block metadata arrays:
-      doc_bytes    — VInt d-gaps (first doc absolute)
-      freq_bytes   — VInt freqs
+    ``docs``/``freqs``/``norms`` are flat and sorted by (term, doc); term t
+    holds the next ``dfs[t]`` postings (``dfs=None``: one term holds them
+    all, docs ascending and unique). Every term's streams start afresh —
+    its first d-gap is its absolute first doc — so term t's bytes are
+    exactly what a run of that term alone encodes.
+
+    Returns a dict of the terms' buffers back to back, with per-term offsets:
+      doc_bytes / freq_bytes — term t's are bytes [doc_offs[t], doc_offs[t+1])
+                     and [freq_offs[t], freq_offs[t+1]); d-gaps and freqs
+                     per ``codec``
       pos_bytes    — VInt per-doc delta-encoded positions (concatenated;
                      per-doc counts == freqs), empty if positions is None
       block_last_doc / block_doc_off / block_freq_off — one entry per
-                     BLOCK_SIZE postings (the skip list, SURVEY §2.5)
+                     BLOCK_SIZE postings of a term (the skip list, SURVEY
+                     §2.5); term t's are [block_offs[t], block_offs[t+1]),
+                     byte offsets relative to the term's own streams
       block_max_freq / block_max_norm — block-max impact bounds
+      skip1_last_doc / skip1_max_freq / skip1_max_norm — level-1 entries of
+                     head terms, term t's at [skip1_offs[t], skip1_offs[t+1])
     """
     docs = np.asarray(docs, dtype=np.int64)
     freqs = np.asarray(freqs, dtype=np.int32)
     norms = np.asarray(norms, dtype=np.uint8)
     n = docs.size
+    dfs = np.array([n] if dfs is None else dfs, dtype=np.int64)
+    post_offs, block_offs, blk_term, blk_start, blk_len = _run_blocks(dfs)
     deltas = np.empty(n, dtype=np.uint64)
     if n:
-        deltas[0] = np.uint64(docs[0])
         np.subtract(docs[1:], docs[:-1], out=deltas[1:], casting="unsafe")
+        first = post_offs[:-1][dfs > 0]
+        deltas[first] = docs[first]
+
     if codec == "for":
-        n_full = (n // BLOCK_SIZE) * BLOCK_SIZE
-        doc_frames: list[bytes] = []
-        frq_frames: list[bytes] = []
-        doc_offs: list[int] = []
-        frq_offs: list[int] = []
-        od = of = 0
-        for s in range(0, n_full, BLOCK_SIZE):
-            doc_offs.append(od)
-            frq_offs.append(of)
-            fd = _pack_for_block(deltas[s : s + BLOCK_SIZE])
-            ff = _pack_for_block(freqs[s : s + BLOCK_SIZE].astype(np.uint64))
-            doc_frames.append(fd)
-            frq_frames.append(ff)
-            od += len(fd)
-            of += len(ff)
-        if n > n_full:  # parity VInt tail, interleaved in the doc stream
-            doc_offs.append(od)
-            frq_offs.append(of)
-            doc_frames.append(
-                _encode_tail_parity(deltas[n_full:], freqs[n_full:]).tobytes())
-        doc_bytes = np.frombuffer(b"".join(doc_frames), dtype=np.uint8)
-        freq_bytes = np.frombuffer(b"".join(frq_frames), dtype=np.uint8)
-    elif codec == "simpletext":
-        doc_bytes, st_doc_offs = _encode_simpletext(deltas)
-        freq_bytes, st_frq_offs = _encode_simpletext(freqs.astype(np.uint64))
+        doc_bytes, doc_sizes, freq_bytes, freq_sizes = _for_streams(
+            deltas, freqs, blk_start, blk_len)
+        doc_starts = np.concatenate(([0], np.cumsum(doc_sizes)))
+        freq_starts = np.concatenate(([0], np.cumsum(freq_sizes)))
+        doc_offs, freq_offs = doc_starts[block_offs], freq_starts[block_offs]
+        blk_doc_off = doc_starts[:-1] - doc_offs[blk_term]
+        blk_frq_off = freq_starts[:-1] - freq_offs[blk_term]
     else:
-        doc_bytes = write_vints(deltas)
-        freq_bytes = write_vints(freqs.astype(np.uint64))
+        if codec == "simpletext":
+            doc_bytes = _encode_simpletext(deltas)
+            freq_bytes = _encode_simpletext(freqs.astype(np.uint64))
+            doc_starts = _value_starts(doc_bytes, doc_bytes == ord("\n"))
+            freq_starts = _value_starts(freq_bytes, freq_bytes == ord("\n"))
+        else:
+            doc_bytes = write_vints(deltas)
+            freq_bytes = write_vints(freqs.astype(np.uint64))
+            doc_starts = _value_starts(doc_bytes, (doc_bytes & 0x80) == 0)
+            freq_starts = _value_starts(freq_bytes, (freq_bytes & 0x80) == 0)
+        doc_offs, freq_offs = doc_starts[post_offs], freq_starts[post_offs]
+        blk_doc_off = doc_starts[blk_start] - doc_offs[blk_term]
+        blk_frq_off = freq_starts[blk_start] - freq_offs[blk_term]
 
     if positions is not None and len(positions):
         # per-doc position deltas (first delta is the absolute first position)
-        dl = np.concatenate(
-            [np.diff(np.asarray(p, dtype=np.int64), prepend=0) for p in positions]
-        )
+        flat = np.concatenate(positions).astype(np.int64)
+        lens = np.fromiter(map(len, positions), dtype=np.int64,
+                           count=len(positions))
+        dl = np.diff(flat, prepend=0)
+        doc_first = np.concatenate(([0], np.cumsum(lens)[:-1]))[lens > 0]
+        dl[doc_first] = flat[doc_first]
         pos_bytes = write_vints(dl.astype(np.uint64))
     else:
         pos_bytes = np.empty(0, dtype=np.uint8)
 
-    # block metadata (one entry per full-or-partial 128 block) — vectorized
-    nblocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    if nblocks:
-        starts = np.arange(nblocks, dtype=np.int64) * BLOCK_SIZE
-        his = np.minimum(starts + BLOCK_SIZE, n)
-        blk_last = docs[his - 1]
-        blk_maxf = np.maximum.reduceat(freqs, starts).astype(np.int32)
-        blk_maxn = (
-            np.maximum.reduceat(norms, starts).astype(np.uint8)
-            if norms.size
-            else np.zeros(nblocks, dtype=np.uint8)
-        )
-        if codec == "for":
-            blk_doc_off = np.asarray(doc_offs, dtype=np.int64)
-            blk_frq_off = np.asarray(frq_offs, dtype=np.int64)
-        elif codec == "simpletext":
-            blk_doc_off = st_doc_offs
-            blk_frq_off = st_frq_offs
-        else:
-            doc_ends = np.flatnonzero((doc_bytes & 0x80) == 0)
-            frq_ends = np.flatnonzero((freq_bytes & 0x80) == 0)
-            blk_doc_off = np.empty(nblocks, dtype=np.int64)
-            blk_frq_off = np.empty(nblocks, dtype=np.int64)
-            blk_doc_off[0] = 0
-            blk_frq_off[0] = 0
-            blk_doc_off[1:] = doc_ends[starts[1:] - 1] + 1
-            blk_frq_off[1:] = frq_ends[starts[1:] - 1] + 1
+    # block metadata: one reduceat per array over the block starts
+    if blk_start.size:
+        blk_maxf = np.maximum.reduceat(freqs, blk_start).astype(np.int32)
+        blk_maxn = (np.maximum.reduceat(norms, blk_start) if norms.size
+                    else np.zeros(blk_start.size, dtype=np.uint8))
     else:
-        blk_last = np.empty(0, dtype=np.int64)
         blk_maxf = np.empty(0, dtype=np.int32)
         blk_maxn = np.empty(0, dtype=np.uint8)
-        blk_doc_off = np.empty(0, dtype=np.int64)
-        blk_frq_off = np.empty(0, dtype=np.int64)
-    s1_last, s1_maxf, s1_maxn = build_skip1(blk_last, blk_maxf, blk_maxn)
+    blk_last = docs[blk_start + blk_len - 1]
+    s1_last, s1_maxf, s1_maxn, skip1_offs = _skip1_runs(
+        blk_last, blk_maxf, blk_maxn, block_offs)
     return {
         "doc_bytes": doc_bytes.tobytes(),
         "freq_bytes": freq_bytes.tobytes(),
         "pos_bytes": pos_bytes.tobytes(),
+        "doc_offs": doc_offs,
+        "freq_offs": freq_offs,
+        "block_offs": block_offs,
         "block_last_doc": blk_last,
         "block_doc_off": blk_doc_off,
         "block_freq_off": blk_frq_off,
         "block_max_freq": blk_maxf,
         "block_max_norm": blk_maxn,
+        "skip1_offs": skip1_offs,
         "skip1_last_doc": s1_last,
         "skip1_max_freq": s1_maxf,
         "skip1_max_norm": s1_maxn,
-        "first_doc": int(docs[0]) if n else -1,
     }
+
+
+def _for_streams(deltas: np.ndarray, freqs: np.ndarray,
+                 blk_start: np.ndarray, blk_len: np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``for`` doc and freq streams of a run of terms, blocks in order →
+    (doc stream, each block's doc bytes, freq stream, each block's freq
+    bytes). A full block is one FOR frame in each stream; a term's partial
+    last block is its parity tail, in the doc stream only."""
+    full = blk_len == BLOCK_SIZE
+    full_idx = blk_start[full][:, None] + np.arange(BLOCK_SIZE)
+    doc_frames, doc_frame_sizes = _pack_for_frames(deltas[full_idx])
+    freq_bytes, freq_frame_sizes = _pack_for_frames(
+        freqs[full_idx].astype(np.uint64))
+    tail_idx = _grouped_take(blk_start[~full], blk_len[~full])
+    tails, tail_post_start = _encode_tail_parity(deltas[tail_idx],
+                                                 freqs[tail_idx])
+    tail_start = tail_post_start[
+        np.concatenate(([0], np.cumsum(blk_len[~full])))]
+    doc_sizes = np.zeros(blk_len.size, dtype=np.int64)
+    doc_sizes[full] = doc_frame_sizes
+    doc_sizes[~full] = np.diff(tail_start)
+    freq_sizes = np.zeros(blk_len.size, dtype=np.int64)
+    freq_sizes[full] = freq_frame_sizes
+    # interleave frames and tails in block order: one gather from both
+    src = np.concatenate((doc_frames, tails))
+    src_start = np.empty(blk_len.size, dtype=np.int64)
+    src_start[full] = np.concatenate(([0], np.cumsum(doc_frame_sizes)[:-1]))
+    src_start[~full] = doc_frames.size + tail_start[:-1]
+    return (src[_grouped_take(src_start, doc_sizes)], doc_sizes,
+            freq_bytes, freq_sizes)
+
+
+def decode_postings(
+    doc_bytes: bytes | np.ndarray,
+    freq_bytes: bytes | np.ndarray,
+    doc_offs: np.ndarray,
+    freq_offs: np.ndarray,
+    dfs: np.ndarray,
+    codec: str,
+    block_doc_off: np.ndarray | None = None,
+    block_freq_off: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a run of terms' postings in one vectorized pass — the inverse
+    of ``encode_postings`` over a run. Term t's streams are bytes
+    [doc_offs[t], doc_offs[t+1]) and [freq_offs[t], freq_offs[t+1]), back to
+    back; ``for`` also takes the flat per-term-relative block offsets.
+    → (docs int64, freqs int32), flat in (term, doc) order. For bulk reads
+    (a merge re-reading whole buckets); queries decode one term's chunk,
+    or one block of it, with ``decode_docs``/``decode_freqs``."""
+    db = np.frombuffer(doc_bytes, dtype=np.uint8)
+    fb = np.frombuffer(freq_bytes, dtype=np.uint8)
+    dfs = np.asarray(dfs, dtype=np.int64)
+    doc_offs = np.asarray(doc_offs, dtype=np.int64)
+    freq_offs = np.asarray(freq_offs, dtype=np.int64)
+    post_offs, _, blk_term, blk_start, blk_len = _run_blocks(dfs)
+    n = int(post_offs[-1])
+    if codec == "for":
+        if (block_doc_off is None or block_freq_off is None
+                or len(block_doc_off) != blk_term.size
+                or len(block_freq_off) != blk_term.size):
+            raise ValueError(f"for codec needs {blk_term.size} block offsets "
+                             "per stream")
+        # absolute byte offset of every block in the run's streams
+        blk_doc = doc_offs[blk_term] + np.asarray(block_doc_off, dtype=np.int64)
+        blk_freq = freq_offs[blk_term] + np.asarray(block_freq_off,
+                                                    dtype=np.int64)
+        deltas = np.empty(n, dtype=np.uint64)
+        freqs = np.empty(n, dtype=np.uint64)
+        full = blk_len == BLOCK_SIZE
+        n_full = int(full.sum())
+        if n_full:
+            vals = np.empty(n_full * BLOCK_SIZE, dtype=np.uint64)
+            at = (blk_start[full][:, None] + np.arange(BLOCK_SIZE)).ravel()
+            _unpack_for_stream(db, n_full, vals, blk_doc[full])
+            deltas[at] = vals
+            _unpack_for_stream(fb, n_full, vals, blk_freq[full])
+            freqs[at] = vals
+        if n_full < blk_len.size:
+            # every tail ends its term's doc stream; tails back to back are
+            # one parity stream (each holds whole postings)
+            t_start = blk_doc[~full]
+            t_end = doc_offs[blk_term[~full] + 1]
+            tails = db[_grouped_take(t_start, t_end - t_start)]
+            at = _grouped_take(blk_start[~full], blk_len[~full])
+            deltas[at], freqs[at] = _decode_tail_parity(tails, at.size)
+    else:
+        # the terms' streams back to back are one stream of n values;
+        # each term must start at its own value boundary
+        db = db[doc_offs[0]:doc_offs[-1]]
+        fb = fb[freq_offs[0]:freq_offs[-1]]
+        if codec == "simpletext":
+            deltas, freqs = _decode_simpletext(db, n), _decode_simpletext(fb, n)
+            doc_starts = _value_starts(db, db == ord("\n"))
+            freq_starts = _value_starts(fb, fb == ord("\n"))
+        else:
+            deltas, freqs = read_vints(db, n), read_vints(fb, n)
+            doc_starts = _value_starts(db, (db & 0x80) == 0)
+            freq_starts = _value_starts(fb, (fb & 0x80) == 0)
+        if not (np.array_equal(doc_starts[post_offs], doc_offs - doc_offs[0])
+                and np.array_equal(freq_starts[post_offs],
+                                   freq_offs - freq_offs[0])):
+            raise ValueError("postings streams corrupt: term boundaries do "
+                             "not fall on value boundaries")
+    # each term's first d-gap is its absolute first doc
+    c = np.cumsum(deltas.astype(np.int64))
+    nonempty = dfs > 0
+    base = (c - deltas.astype(np.int64))[post_offs[:-1][nonempty]]
+    return c - np.repeat(base, dfs[nonempty]), freqs.astype(np.int32)
 
 
 def _unpack_for_stream(buf: np.ndarray, n_blocks: int, out: np.ndarray,
@@ -475,15 +662,18 @@ def decode_freqs(freq_bytes: bytes, n: int, codec: str = "vint",
 
 
 def decode_positions(pos_bytes: bytes, freqs: np.ndarray) -> list[np.ndarray]:
-    """Decode per-doc positions (delta-encoded per doc) → list of arrays."""
-    total = int(np.asarray(freqs).sum())
-    flat = read_vints(np.frombuffer(pos_bytes, dtype=np.uint8), total).astype(np.int64)
-    out: list[np.ndarray] = []
-    offs = np.concatenate(([0], np.cumsum(np.asarray(freqs, dtype=np.int64))))
-    for i in range(len(freqs)):
-        seg = flat[offs[i] : offs[i + 1]]
-        out.append(np.cumsum(seg))
-    return out
+    """Decode per-doc positions (delta-encoded per doc) → list of arrays:
+    one segmented cumsum over every doc's run, then split per doc."""
+    freqs = np.asarray(freqs, dtype=np.int64)
+    if freqs.size == 0:
+        return []
+    offs = np.cumsum(freqs)
+    deltas = read_vints(np.frombuffer(pos_bytes, dtype=np.uint8),
+                        int(offs[-1])).astype(np.int64)
+    c = np.cumsum(deltas)
+    nonempty = freqs > 0
+    base = (c - deltas)[(offs - freqs)[nonempty]]
+    return np.split(c - np.repeat(base, freqs[nonempty]), offs[:-1])
 
 
 def decode_doc_block(

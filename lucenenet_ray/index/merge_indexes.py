@@ -36,13 +36,13 @@ import pyarrow.parquet as pq
 from lucenenet_ray.index.build import (
     DOCLEN_TERM,
     IndexConfig,
-    _grouped_take,
+    _binary_parts,
     _hash_shuffle_merge_write,
     finish_index,
     term_hpart,
     wire_table,
 )
-from lucenenet_ray.index.codec import decode_docs, decode_freqs
+from lucenenet_ray.index.codec import _grouped_take, decode_postings
 from lucenenet_ray.index.deletes import load_deleted_terms
 
 # config fields that must agree across merged sources: they fix the file
@@ -56,7 +56,8 @@ _SIDECARS = ("bloom", "docvalues", "termvectors")
 def _wire_rows(index_path: str, bucket: int, n_hparts: int, codec: str,
                dead_terms: tuple[str, ...], dead_docs: np.ndarray) -> pa.Table:
     """One source bucket → the Inverter's shuffle-wire rows: one row per
-    postings chunk, then the bucket's doc-length sentinel row.
+    postings chunk, then the bucket's doc-length sentinel row. Every chunk
+    of the bucket is decoded in one ``decode_postings`` pass.
 
     Dead docs are dropped on the way (liveDocs applied, as Lucene's
     ``SegmentMerger`` does): ``dead_docs`` plus every doc of a chunk whose
@@ -71,15 +72,20 @@ def _wire_rows(index_path: str, bucket: int, n_hparts: int, codec: str,
         index_path, "postings", f"bucket={bucket:05d}*.parquet")))
     post = pa.concat_tables([pq.read_table(f) for f in files]) if files \
         else None
-    terms, dfs, docs, freqs, pos_rows, pay_rows = [], [], [], [], [], []
+    terms, pos_rows, pay_rows = [], [], []
+    dfs = np.empty(0, dtype=np.int64)
+    docs = np.empty(0, dtype=np.int64)
+    freqs = np.empty(0, dtype=np.int32)
     has_pay = post is not None and "pay_bytes" in post.column_names
     if post is not None:
         terms = post.column("term").to_pylist()
-        dfs = post.column("df").to_pylist()
-        for d, f, n in zip(post.column("doc_bytes").to_pylist(),
-                           post.column("freq_bytes").to_pylist(), dfs):
-            docs.append(decode_docs(d, n, codec=codec))
-            freqs.append(decode_freqs(f, n, codec=codec, doc_bytes=d))
+        dfs = post.column("df").to_numpy().astype(np.int64)
+        doc_data, doc_offs = _binary_parts(post.column("doc_bytes"))
+        freq_data, freq_offs = _binary_parts(post.column("freq_bytes"))
+        docs, freqs = decode_postings(
+            doc_data, freq_data, doc_offs, freq_offs, dfs, codec,
+            pc.list_flatten(post.column("block_doc_off")).to_numpy(),
+            pc.list_flatten(post.column("block_freq_off")).to_numpy())
         # position/payload runs are self-contained per doc: they move as bytes
         pos_rows = post.column("pos_bytes").to_pylist()
         if has_pay:
@@ -88,13 +94,13 @@ def _wire_rows(index_path: str, bucket: int, n_hparts: int, codec: str,
             hit = pc.is_in(post.column("term"),
                            value_set=pa.array(dead_terms, type=pa.string()))
             dead_docs = np.concatenate(
-                [dead_docs] + [docs[i] for i in np.flatnonzero(hit)])
+                (dead_docs, docs[np.repeat(hit.to_numpy(), dfs)]))
     if len(dead_docs):
         live = ~np.isin(doc_ids, dead_docs)
         norms, doc_ids = norms.filter(pa.array(live)), doc_ids[live]
         terms, dfs, docs, freqs, pos_rows, pay_rows = _drop_docs(
             terms, dfs, docs, freqs, pos_rows, pay_rows, dead_docs)
-    all_docs = np.concatenate(docs + [doc_ids])
+    all_docs = np.concatenate((docs, doc_ids))
     # per-doc norm bytes: chunk docs are looked up in the bucket's norms
     idx = np.searchsorted(doc_ids, all_docs)
     if not ((idx < len(doc_ids)).all()
@@ -107,23 +113,22 @@ def _wire_rows(index_path: str, bucket: int, n_hparts: int, codec: str,
         np.full(len(terms) + len(sentinel), bucket, dtype=np.int64),
         np.array([term_hpart(t, n_hparts) for t in terms]
                  + [0] * len(sentinel), dtype=np.int64),
-        np.array(dfs + [len(doc_ids)] * len(sentinel), dtype=np.int64),
+        np.concatenate((dfs, np.full(len(sentinel), len(doc_ids)))),
         all_docs,
-        np.concatenate(freqs + [norms.column("doc_len").to_numpy()]),
+        np.concatenate((freqs, norms.column("doc_len").to_numpy())),
         norms.column("norm").to_numpy().astype(np.uint8)[idx],
         pos_rows + [b""] * len(sentinel),
         pay_rows + [b""] * len(sentinel) if has_pay else None)
 
 
 def _drop_docs(terms, dfs, docs, freqs, pos_rows, pay_rows, dead_docs):
-    """Drop a dead-doc set from one bucket's decoded chunks; a chunk left
-    with no live doc goes. Position and payload runs are cut by a
-    terminator scan plus a byte-segment gather (each doc's run is a
-    self-contained VInt segment of ``freq`` values), never decoded."""
-    flat_docs = np.concatenate(docs) if docs else np.empty(0, np.int64)
-    flat_freqs = (np.concatenate(freqs).astype(np.int64) if freqs
-                  else np.empty(0, np.int64))
-    keep = ~np.isin(flat_docs, dead_docs)
+    """Drop a dead-doc set from one bucket's decoded chunks (``docs`` and
+    ``freqs`` flat, chunk after chunk, ``dfs`` each); a chunk left with no
+    live doc goes. Position and payload runs are cut by a terminator scan
+    plus a byte-segment gather (each doc's run is a self-contained VInt
+    segment of ``freq`` values), never decoded."""
+    flat_freqs = freqs.astype(np.int64)
+    keep = ~np.isin(docs, dead_docs)
     chunk_of = np.repeat(np.arange(len(terms)), dfs)
     live_df = np.bincount(chunk_of[keep], minlength=len(terms))
     live = np.flatnonzero(live_df)
@@ -145,12 +150,11 @@ def _drop_docs(terms, dfs, docs, freqs, pos_rows, pay_rows, dead_docs):
         offs = np.concatenate(([0], np.cumsum(run_len)))[bounds]
         return [kept[offs[i]:offs[i + 1]] for i in range(len(live))]
 
-    kept_docs, kept_freqs = flat_docs[keep], flat_freqs[keep]
     return (
         [terms[i] for i in live],
-        live_df[live].tolist(),
-        [kept_docs[bounds[i]:bounds[i + 1]] for i in range(len(live))],
-        [kept_freqs[bounds[i]:bounds[i + 1]] for i in range(len(live))],
+        live_df[live],
+        docs[keep],
+        freqs[keep],
         cut_runs(pos_rows),
         cut_runs(pay_rows) if pay_rows else [],
     )

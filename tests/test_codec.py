@@ -10,6 +10,7 @@ from lucenenet_ray.index.codec import (
     decode_docs,
     decode_freqs,
     decode_positions,
+    decode_postings,
     encode_postings,
     read_vints,
     write_vints,
@@ -248,3 +249,146 @@ def test_skip_to_blocks_two_level_equals_flat():
     derived = mk(None)
     got2 = _skip_to_blocks(derived, cands)
     assert np.array_equal(np.asarray(got2), want)
+
+
+# ---------------------------------------------------------------------------
+# One encoder call over a run of terms (the reducer encodes a whole
+# (bucket, hpart) group at once)
+
+RUN_DFS = (1, 127, 128, 129, 256, 257, BLOCK_SIZE * 256, BLOCK_SIZE * 256 + 5)
+
+
+def _term_slice(enc, t):
+    """Term t's part of a run encode, in the one-term result's shape."""
+    d0, d1 = enc["doc_offs"][t], enc["doc_offs"][t + 1]
+    f0, f1 = enc["freq_offs"][t], enc["freq_offs"][t + 1]
+    b0, b1 = enc["block_offs"][t], enc["block_offs"][t + 1]
+    s0, s1 = enc["skip1_offs"][t], enc["skip1_offs"][t + 1]
+    out = {"doc_bytes": enc["doc_bytes"][d0:d1],
+           "freq_bytes": enc["freq_bytes"][f0:f1]}
+    for k in ("block_last_doc", "block_doc_off", "block_freq_off",
+              "block_max_freq", "block_max_norm"):
+        out[k] = enc[k][b0:b1]
+    for k in ("skip1_last_doc", "skip1_max_freq", "skip1_max_norm"):
+        out[k] = enc[k][s0:s1]
+    return out
+
+
+@pytest.mark.parametrize("codec", ["for", "vint", "simpletext"])
+def test_run_encode_equals_one_term_encodes(codec):
+    """Term by term, one call over a run of terms gives exactly what
+    one-term calls give: bytes, block and level-1 skip arrays, dtypes; and
+    one ``decode_postings`` call gives the run back."""
+    rng = np.random.default_rng(17)
+    dfs = list(RUN_DFS) + [0, 3]  # an empty term mid-run too
+    terms = []
+    for i, df in enumerate(dfs):
+        docs, freqs, norms = _mk_postings(rng, df, 10**12)
+        if i % 3 == 0:
+            freqs[rng.random(df) < 0.1] = 0  # doc-length rows hold zeros
+        terms.append((docs, freqs, norms))
+    enc = encode_postings(np.concatenate([t[0] for t in terms]),
+                          np.concatenate([t[1] for t in terms]),
+                          np.concatenate([t[2] for t in terms]),
+                          None, codec=codec, dfs=dfs)
+    assert len(enc["doc_offs"]) == len(dfs) + 1
+    # the run decoder inverts the run encoder in one call
+    got_docs, got_freqs = decode_postings(
+        enc["doc_bytes"], enc["freq_bytes"], enc["doc_offs"],
+        enc["freq_offs"], dfs, codec, enc["block_doc_off"],
+        enc["block_freq_off"])
+    assert np.array_equal(got_docs, np.concatenate([t[0] for t in terms]))
+    assert np.array_equal(got_freqs, np.concatenate([t[1] for t in terms]))
+    if codec != "for":
+        # a term boundary off a value boundary is a corrupt stream
+        bad = enc["doc_offs"].copy()
+        bad[3] += 1
+        with pytest.raises(ValueError, match="term boundaries"):
+            decode_postings(enc["doc_bytes"], enc["freq_bytes"], bad,
+                            enc["freq_offs"], dfs, codec)
+    for t, (docs, freqs, norms) in enumerate(terms):
+        one = encode_postings(docs, freqs, norms, None, codec=codec)
+        got = _term_slice(enc, t)
+        for k, want in got.items():
+            if isinstance(want, bytes):
+                assert one[k] == want, (t, k)
+            else:
+                assert one[k].dtype == want.dtype, (t, k)
+                assert np.array_equal(one[k], want), (t, k)
+        df = len(docs)
+        assert np.array_equal(
+            decode_docs(got["doc_bytes"], df, codec=codec,
+                        block_doc_off=got["block_doc_off"]), docs)
+        assert np.array_equal(
+            decode_freqs(got["freq_bytes"], df, codec=codec,
+                         doc_bytes=got["doc_bytes"],
+                         block_doc_off=got["block_doc_off"],
+                         block_freq_off=got["block_freq_off"]), freqs)
+        assert len(got["skip1_last_doc"]) == (
+            (len(got["block_last_doc"]) + 127) // 128 if df > BLOCK_SIZE * 255
+            else 0)
+
+
+def _decode_tail_parity_loop(buf, count):
+    """Reference: the posting-at-a-time parity-tail decoder."""
+    if count == 0:
+        return (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64))
+    vals = read_vints(buf)
+    deltas = np.empty(count, dtype=np.uint64)
+    freqs = np.empty(count, dtype=np.uint64)
+    i = 0
+    for k in range(count):
+        if i >= vals.size:
+            raise ValueError(
+                f"parity tail truncated: {vals.size} values for {count} postings")
+        v = int(vals[i])
+        i += 1
+        deltas[k] = v >> 1
+        if v & 1:
+            freqs[k] = 1
+        else:
+            if i >= vals.size:
+                raise ValueError("parity tail truncated at freq value")
+            freqs[k] = int(vals[i])
+            i += 1
+    return deltas, freqs
+
+
+def test_tail_parity_decode_matches_loop_reference():
+    """The vectorized parity-tail decoder equals the posting-at-a-time loop
+    on encoder tails, whole and truncated at every kind of cut, including
+    the exact ValueError a truncated stream raises."""
+    from lucenenet_ray.index.codec import _decode_tail_parity
+
+    def run(fn, buf, count):
+        try:
+            d, f = fn(buf, count)
+            return d.tolist(), f.tolist()
+        except ValueError as e:
+            return str(e)
+
+    rng = np.random.default_rng(23)
+    errors = set()
+    for _ in range(600):
+        df = int(rng.integers(BLOCK_SIZE, BLOCK_SIZE * 3))
+        docs, freqs, norms = _mk_postings(rng, df, 10**int(rng.integers(4, 13)))
+        freqs[rng.random(df) < 0.1] = 0
+        enc = encode_postings(docs, freqs, norms, None, codec="for")
+        tail_off = int(enc["block_doc_off"][-1])
+        tail = np.frombuffer(enc["doc_bytes"], dtype=np.uint8)[tail_off:]
+        count = df % BLOCK_SIZE
+        cut = int(rng.integers(0, tail.size + 1)) if rng.random() < 0.5 \
+            else tail.size
+        for c in {count, max(count - 1, 0), count + 1}:
+            want = run(_decode_tail_parity_loop, tail[:cut], c)
+            assert run(_decode_tail_parity, tail[:cut], c) == want
+            if isinstance(want, str):
+                errors.add(want.split(":")[0])
+        if cut == tail.size and count:
+            # the tail's first d-gap is from the last doc of the full blocks
+            d, f = _decode_tail_parity(tail, count)
+            assert np.array_equal(d, np.diff(docs[-count - 1:]))
+            assert np.array_equal(f, freqs[-count:])
+    # both truncation errors were exercised
+    assert {"parity tail truncated",
+            "parity tail truncated at freq value"} <= errors

@@ -2,7 +2,6 @@
 pipeline, flagship entry, and the __ray_entry__ contract shape."""
 
 import os
-import sys
 
 import numpy as np
 import pytest
@@ -72,7 +71,6 @@ def test_flagship_queries_return_hits(pages_index):
 
 
 def test_ray_entry_contract(ray_session):
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as e
 
     qs = e.queries()

@@ -95,3 +95,70 @@ def test_files_without_hpart_are_read_for_every_term(hpart_index, tmp_path):
         pq.write_table(t.sort_by("term"),
                        os.path.join(pdir, f"bucket={b:05d}.parquet"))
     _assert_pushdown_equals_full(legacy)
+
+
+@pytest.mark.parametrize("codec", ["for", "vint", "simpletext"])
+def test_merge_group_encodes_the_group_in_one_call(codec, monkeypatch):
+    """A (bucket, hpart) group whose terms are split over shuffled wire rows,
+    with positions and payloads, is encoded by ONE ``encode_postings`` call,
+    and each output row is that term's one-term encode in doc order, with
+    its per-doc position and payload runs moved in doc order."""
+    import numpy as np
+
+    from lucenenet_ray.index import build
+    from lucenenet_ray.index.codec import encode_postings, write_vints
+
+    rng = np.random.default_rng(29)
+    dfs = {"": 300, "alpha": 1, "beta": 129, "gamma": 3000, "delta": 2}
+    rows, want = [], {}
+    for term, df in dfs.items():
+        docs = rng.choice(10**9, size=df, replace=False).astype(np.int64)
+        freqs = rng.integers(1 if term else 0, 5, size=df)
+        norms = rng.integers(0, 256, size=df).astype(np.uint8)
+        pos = [write_vints(rng.integers(0, 999, size=f).astype(np.uint64))
+               .tobytes() if term else b"" for f in freqs]
+        pay = [write_vints(rng.integers(0, 99, size=f).astype(np.uint64))
+               .tobytes() if term else b"" for f in freqs]
+        o = np.argsort(docs)
+        want[term] = (encode_postings(docs[o], freqs[o], norms[o], None,
+                                      codec=codec),
+                      b"".join(pos[i] for i in o), b"".join(pay[i] for i in o),
+                      norms[o].tobytes() if term == "" else b"",
+                      (int(freqs.sum()), int(freqs.max()), int(norms.max())))
+        cuts = np.sort(rng.choice(np.arange(1, df), size=min(df - 1, 3),
+                                  replace=False)) if df > 1 else []
+        for a, b in zip([0, *cuts], [*cuts, df]):
+            rows.append((term, docs[a:b], freqs[a:b], norms[a:b],
+                         b"".join(pos[a:b]), b"".join(pay[a:b])))
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    group = build.wire_table(
+        pa.array([r[0] for r in rows], type=pa.string()),
+        np.full(len(rows), 3), np.zeros(len(rows), dtype=np.int64),
+        np.array([len(r[1]) for r in rows]),
+        np.concatenate([r[1] for r in rows]),
+        np.concatenate([r[2] for r in rows]),
+        np.concatenate([r[3] for r in rows]),
+        [r[4] for r in rows], [r[5] for r in rows])
+
+    calls = []
+
+    def counting(*a, **kw):
+        calls.append(1)
+        return encode_postings(*a, **kw)
+
+    monkeypatch.setattr(build, "encode_postings", counting)
+    out = build._merge_group(group, True, codec)
+    assert len(calls) == 1
+    assert out.column("term").to_pylist() == sorted(dfs)
+    for i, term in enumerate(out.column("term").to_pylist()):
+        enc, pos, pay, doclen_norms, stats = want[term]
+        row = {c: out.column(c)[i].as_py() for c in out.column_names}
+        assert row["bucket"] == 3 and row["df"] == dfs[term]
+        assert (row["ttf"], row["max_freq"], row["max_norm"]) == stats
+        assert row["doc_bytes"] == enc["doc_bytes"]
+        assert row["freq_bytes"] == enc["freq_bytes"]
+        assert row["pos_bytes"] == pos and row["pay_bytes"] == pay
+        assert row["doclen_norm_bytes"] == doclen_norms
+        for k in ("block_last_doc", "block_doc_off", "block_freq_off",
+                  "block_max_freq", "block_max_norm", "skip1_last_doc"):
+            assert row[k] == enc[k].tolist(), (term, k)

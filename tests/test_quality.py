@@ -1,9 +1,5 @@
 """Quality benchmark analog (QualityStats.cs semantics via quality_eval)."""
 
-import sys
-
-sys.path.insert(0, "/root/repo")
-
 
 def test_quality_eval_invariants(ray_session):
     import importlib

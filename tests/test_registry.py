@@ -2,11 +2,8 @@
 so the window must stay fully oracle-backed (rows-only queries belong
 past 50), and every oracle key must have a query."""
 
-import sys
-
 
 def _entry():
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as E
 
     return E

@@ -661,6 +661,23 @@ def decode_freqs(freq_bytes: bytes, n: int, codec: str = "vint",
     return read_vints(np.frombuffer(freq_bytes, dtype=np.uint8), n).astype(np.int32)
 
 
+def decode_docs_freqs(doc_bytes: bytes, freq_bytes: bytes, n: int,
+                      codec: str = "vint",
+                      block_doc_off: np.ndarray | None = None,
+                      block_freq_off: np.ndarray | None = None,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """A chunk's docIDs and freqs together: the ``for`` tail carries both
+    (freqs parity-folded into the doc stream), so it is decoded once."""
+    if codec != "for":
+        return (decode_docs(doc_bytes, n, codec=codec),
+                decode_freqs(freq_bytes, n, codec=codec))
+    deltas, freqs = _for_deltas_freqs(doc_bytes, freq_bytes, n,
+                                      want_freqs=True,
+                                      block_doc_off=block_doc_off,
+                                      block_freq_off=block_freq_off)
+    return np.cumsum(deltas.astype(np.int64)), freqs.astype(np.int32)
+
+
 def decode_positions(pos_bytes: bytes, freqs: np.ndarray) -> list[np.ndarray]:
     """Decode per-doc positions (delta-encoded per doc) → list of arrays:
     one segmented cumsum over every doc's run, then split per doc."""

@@ -3,9 +3,11 @@
 The end-to-end path of the north star (SURVEY §3.1/§3.2 Ray equivalents):
 
     read_parquet(pages)                      # column-pruned at the read
-      → groupby(url) keep-latest             # exact dedup (IndexWriter
+      → keep-latest per url                  # exact dedup (IndexWriter
                                              #   UpdateDocument analog,
-                                             #   IndexWriter.cs:1538-1556)
+                                             #   IndexWriter.cs:1538-1556):
+                                             #   driver (url, warc_ts) read +
+                                             #   broadcast winner semi-join
       → map_batches(ExtractHTML)             # DemoHTMLParser-equivalent
       → map_batches(add doc ids)             # deterministic md5-based docIDs
                                              #   (page_docs: the steps above)
@@ -62,18 +64,15 @@ def dedup_partition(urls: pa.Array, num_partitions: int) -> pa.Array:
                      for u in urls.to_pylist()], type=pa.int32())
 
 
-def _dedup_shuffle_vectorized(ds, num_partitions: int | None = None):
+def _dedup_shuffle_vectorized(ds, num_partitions: int):
     """At-scale exact dedup: ONE hash exchange on url, then the vectorized
     per-partition kernel (every row of a url must land in the same
-    partition; ``dedup_partition`` assigns it). Partition COUNT defaults to
-    the input's block count, preserving ~input-block-sized partitions at any
-    corpus size; the groupby key is the low-cardinality partition id, so
-    map_groups makes exactly one Python call per PARTITION, never per url."""
-    if num_partitions is None:
-        try:
-            num_partitions = max(64, ds.num_blocks())
-        except Exception:
-            num_partitions = 256
+    partition; ``dedup_partition`` assigns it). The caller sizes
+    ``num_partitions`` from the rows going in (``_blocks_for_rows``), so a
+    handful of tied rows takes one partition and 10^10 rows keep
+    ~20k-row partitions; the groupby key is the low-cardinality partition
+    id, so map_groups makes exactly one Python call per PARTITION, never
+    per url."""
 
     def assign(t: pa.Table) -> pa.Table:
         return t.append_column(
@@ -88,65 +87,74 @@ def _dedup_shuffle_vectorized(ds, num_partitions: int | None = None):
             .map_groups(kernel, batch_format="pyarrow"))
 
 
+def _parquet_rows(pages_path: str) -> int:
+    """Row count of a parquet file or directory, from the footers alone."""
+    import pyarrow.parquet as pq
+
+    if not os.path.isdir(pages_path):
+        return pq.ParquetFile(pages_path).metadata.num_rows
+    return sum(pq.ParquetFile(os.path.join(pages_path, f)).metadata.num_rows
+               for f in os.listdir(pages_path) if f.endswith(".parquet"))
+
+
+def _blocks_for_rows(n_rows: int) -> int:
+    """Block count for ``n_rows`` pages: ~2 blocks per cluster CPU (two
+    waves amortize per-task overhead yet load-balance stragglers), but no
+    block under one 1,024-row batch, and none over ~20k pages (bounds task
+    heap regardless of cluster size — at 10^10 rows this term dominates and
+    blocks stay ~40MB of text). Interleaved A/B at sf0.1/32cpus: 2 waves
+    beat 8 waves 1.2-1.8x every pair (per-task fixed costs dominated the
+    8-wave run). Output bytes are blocking-independent (digest-checked)."""
+    import ray
+
+    cpus = int(ray.cluster_resources().get("CPU", 8)) if (
+        ray.is_initialized()) else (os.cpu_count() or 8)
+    return max(min(2 * cpus, -(-n_rows // 1024)), n_rows // 20_000, 1)
+
+
 def dedup_latest_pages(pages_path: str, ds, max_broadcast_urls: int = 10_000_000):
     """Exact keep-latest-per-url dedup with a NARROW winner pre-pass.
 
     Discovering winners by scanning the full input dataset would drag every
     html byte through an extra pass at web scale. Here the pre-pass reads
-    ONLY (url, warc_ts) from the parquet (column-pruned ≈ 1%
-    of the bytes); per-batch pyarrow partials combine on the driver into a
-    (url → max_ts) table for DUPLICATED urls only, broadcast once. The main
-    pipeline then drops losers with one vectorized join per batch — a single
-    pass over the wide rows.
+    ONLY (url, warc_ts) (column-pruned ≈ 1% of the bytes) with
+    ``pyarrow.parquet.read_table`` on the driver, where every row would end
+    up anyway. One polars groupby yields (url → max_ts) for DUPLICATED urls
+    only, broadcast once; the main pipeline drops losers with one
+    vectorized join per batch — a single pass over the wide rows. Exact
+    (url, max_ts) ties (>1 row at the max — byte-identical recrawls) are
+    counted in the same groupby and resolved deterministically by a tiny
+    exact groupby branch, wherever their rows sit.
 
-    Exact (url, max_ts) ties (>1 row at the max — byte-identical recrawls)
-    are detected in the same partials and routed through a tiny exact
-    groupby branch, so cross-batch ties resolve deterministically.
+    The guard runs first, from the parquet footers alone: above
+    ``max_broadcast_urls`` input rows no column is read on the driver, and
+    the whole input goes through the ``_dedup_shuffle_vectorized`` exchange.
     """
     import numpy as np
-    import ray
-    import ray.data as rd
-
-    narrow = rd.read_parquet(pages_path, columns=["url", "warc_ts"],
-                             override_num_blocks=64)
-
-    def partial(t: pa.Table) -> pa.Table:
-        # per-(url, ts) counts: one vectorized groupby, no joins; combines
-        # associatively across batches on the driver
-        return pa.TableGroupBy(t, ["url", "warc_ts"]).aggregate(
-            [("url", "count")]
-        ).rename_columns(["url", "warc_ts", "cnt"])
-
-    # payload-free guard before any driver fetch (VERDICT r4 #1): the
-    # narrow (url, ts, cnt) partials stay in the object store; count()
-    # reads block metadata, and only the broadcast branch ray.get()s them.
-    part_ds = narrow.map_batches(partial, batch_format="pyarrow").materialize()
-    if part_ds.count() > max_broadcast_urls:
-        return _dedup_shuffle_vectorized(ds)
-    parts = ray.get(part_ds.to_arrow_refs())
-    from lucenenet_ray.util.tables import concat_tables as _concat
-
-    allp = _concat(parts)
-    # driver combine in polars (multi-threaded hash groupby — ~5× arrow's
-    # TableGroupBy on millions of rows)
     import polars as pl
+    import pyarrow.parquet as pq
+    import ray
 
-    lf = pl.from_arrow(allp)
-    lg = lf.group_by("url").agg(
-        pl.col("warc_ts").max().alias("gmax"), pl.col("cnt").sum().alias("totcnt")
-    )
-    dup_pl = lg.filter(pl.col("totcnt") > 1)
+    n_rows = _parquet_rows(pages_path)
+    if n_rows > max_broadcast_urls:
+        return _dedup_shuffle_vectorized(ds, _blocks_for_rows(n_rows))
+    narrow = pq.read_table(pages_path, columns=["url", "warc_ts"])
+    # polars' multi-threaded hash groupby — ~5× arrow's TableGroupBy on
+    # millions of rows
+    ts = pl.col("warc_ts")
+    dup_pl = (pl.from_arrow(narrow).group_by("url")
+              .agg(ts.max().alias("gmax"), pl.len().alias("totcnt"),
+                   (ts == ts.max()).sum().alias("nmax"))
+              .filter(pl.col("totcnt") > 1))
     if dup_pl.height == 0:
         return ds
-    jj = lf.join(dup_pl.select(["url", "gmax"]), on="url", how="inner")
-    ties_pl = jj.filter(
-        (pl.col("warc_ts") == pl.col("gmax")) & (pl.col("cnt") > 1)
-    ).select("url")
-    dup = dup_pl.select(["url", "gmax"]).to_arrow()
-    dup = dup.cast(pa.schema([("url", pa.string()),
-                              ("gmax", allp.schema.field("warc_ts").type)]))
-    ties = ties_pl.to_arrow().column("url").cast(pa.string()).combine_chunks()
-    win_ref = ray.put(dup.select(["url", "gmax"]).combine_chunks())
+    dup = dup_pl.select(["url", "gmax"]).to_arrow().cast(
+        pa.schema([("url", pa.string()),
+                   ("gmax", narrow.schema.field("warc_ts").type)]))
+    tie_pl = dup_pl.filter(pl.col("nmax") > 1)
+    ties = tie_pl.select("url").to_arrow().column("url").cast(
+        pa.string()).combine_chunks()
+    win_ref = ray.put(dup.combine_chunks())
     ties_ref = ray.put(ties) if len(ties) else None
 
     def filt(t: pa.Table) -> pa.Table:
@@ -178,7 +186,8 @@ def dedup_latest_pages(pages_path: str, ds, max_broadcast_urls: int = 10_000_000
         return t.filter(pc.is_in(t.column("url"), value_set=ray.get(ties_ref)))
 
     tie_branch = _dedup_shuffle_vectorized(
-        ds.map_batches(only_ties, batch_format="pyarrow"))
+        ds.map_batches(only_ties, batch_format="pyarrow"),
+        _blocks_for_rows(int(tie_pl["totcnt"].sum())))
     return main.union(tie_branch)
 
 
@@ -190,29 +199,15 @@ def _add_doc_ids(batch: pa.Table) -> pa.Table:
 def page_docs(pages_path: str):
     """pages parquet → (doc_id, text, lang) Dataset: the read, keep-latest
     dedup, HTML extract and docID steps every pages build runs (a direct
-    ``index_pages`` build and each shard of ``job.index_job``)."""
-    import pyarrow.parquet as pq
-    import ray
+    ``index_pages`` build and each shard of ``job.index_job``). The page
+    read is the only Ray Data read: its block count follows the row count
+    in the parquet footers (``_blocks_for_rows``), and the dedup pre-pass
+    reads its two narrow columns on the driver."""
     import ray.data as rd
 
-    # Map-stage blocking: ~2 blocks per cluster CPU (two waves amortize
-    # per-task overhead yet load-balance stragglers), with a row-count floor
-    # so a block never exceeds ~20k pages (bounds task heap regardless of
-    # cluster size — at 10^10 rows this term dominates and blocks stay
-    # ~40MB of text). Interleaved A/B at sf0.1/32cpus: 2 waves beat 8 waves
-    # 1.2-1.8x every pair (per-task fixed costs dominated the 8-wave run).
-    # Output bytes are blocking-independent (digest-checked).
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if (
-        ray.is_initialized()) else (os.cpu_count() or 8)
-    n_rows = sum(
-        pq.ParquetFile(os.path.join(pages_path, f)).metadata.num_rows
-        for f in os.listdir(pages_path)
-        if f.endswith(".parquet")
-    ) if os.path.isdir(pages_path) else (
-        pq.ParquetFile(pages_path).metadata.num_rows)
-    n_blocks = max(2 * cpus, n_rows // 20_000, 1)
     ds = rd.read_parquet(pages_path, columns=["url", "warc_ts", "html", "lang"],
-                         override_num_blocks=n_blocks)
+                         override_num_blocks=_blocks_for_rows(
+                             _parquet_rows(pages_path)))
     ds = dedup_latest_pages(pages_path, ds)
     # batch 1024 ≈ 0.2 s/task of HTML parsing: large enough that driver-side
     # task scheduling doesn't dominate, small enough to pipeline (html rows

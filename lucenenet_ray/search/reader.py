@@ -22,7 +22,7 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from lucenenet_ray.index.build import postings_file_name, term_hpart
-from lucenenet_ray.index.codec import decode_docs, decode_freqs, decode_positions
+from lucenenet_ray.index.codec import decode_docs_freqs
 
 
 @dataclass
@@ -87,19 +87,20 @@ class PostingsChunk:
             self._row_of = inv
         return self._row_of
 
+    def _decode(self) -> None:
+        self._docs, self._freqs = decode_docs_freqs(
+            self.doc_bytes, self.freq_bytes, self.df, codec=self.codec,
+            block_doc_off=self.block_doc_off,
+            block_freq_off=self.block_freq_off)
+
     def docs(self) -> np.ndarray:
         if self._docs is None:
-            self._docs = decode_docs(self.doc_bytes, self.df, codec=self.codec,
-                                     block_doc_off=self.block_doc_off)
+            self._decode()
         return self._docs
 
     def freqs(self) -> np.ndarray:
         if self._freqs is None:
-            self._freqs = decode_freqs(self.freq_bytes, self.df,
-                                       codec=self.codec,
-                                       doc_bytes=self.doc_bytes,
-                                       block_doc_off=self.block_doc_off,
-                                       block_freq_off=self.block_freq_off)
+            self._decode()
         return self._freqs
 
     def positions_flat(self) -> tuple[np.ndarray, np.ndarray]:

@@ -392,3 +392,37 @@ def test_tail_parity_decode_matches_loop_reference():
     # both truncation errors were exercised
     assert {"parity tail truncated",
             "parity tail truncated at freq value"} <= errors
+
+
+def test_query_decodes_each_tail_only_chunk_once(documents_index, monkeypatch):
+    """A term query reads both docs and freqs of every chunk it scores; a
+    tail-only ``for`` chunk carries both in its parity tail, so the tail is
+    decoded once per chunk, not once per list."""
+    import lucenenet_ray.index.codec as codec_mod
+    from lucenenet_ray.search.query import parse_query
+    from lucenenet_ray.search.reader import IndexReader
+    from lucenenet_ray.search.searcher import search
+
+    calls = []
+    real = codec_mod._decode_tail_parity
+
+    def counting(buf, count):
+        calls.append(count)
+        return real(buf, count)
+
+    monkeypatch.setattr(codec_mod, "_decode_tail_parity", counting)
+    reader = IndexReader(documents_index[0])
+    chunks = [reader.bucket(b).chunks_for_terms(["spark"]).get("spark")
+              for b in reader.bucket_ids]
+    chunks = [c for c in chunks if c is not None]
+    assert chunks and all(c.codec == "for" and c.df < BLOCK_SIZE
+                          for c in chunks)
+    assert not calls
+    assert search(reader, parse_query("spark"), k=10).total_hits == sum(
+        c.df for c in chunks)
+    assert sorted(calls) == sorted(c.df for c in chunks)
+    for c in chunks:
+        assert np.array_equal(c.docs(), decode_docs(
+            c.doc_bytes, c.df, codec="for"))
+        assert np.array_equal(c.freqs(), decode_freqs(
+            c.freq_bytes, c.df, codec="for", doc_bytes=c.doc_bytes))

@@ -3349,7 +3349,7 @@ def _q_bm25_bloom(sf_dir: str) -> pa.Table:
     path = _index_path(sf_dir)
     if not os.path.isdir(os.path.join(path, "bloom")):
         build_bloom(path)
-    r = IndexReader(path, full_buckets=False)  # lazy path consults the bloom
+    r = IndexReader(path)  # a term lookup consults the bloom first
     q = BooleanQuery(clauses=tuple(
         BooleanClause(Occur.SHOULD, TermQuery(term=t))
         for t in ["spark", "zzzneverseen"]))

@@ -18,8 +18,8 @@ Reference semantics matched bit-for-bit (NOT ported):
   doc count at 10% saturation, and a filter saturated beyond 0.9 is not
   saved (IsSaturated). ``BloomFilteringPostingsFormat.cs`` consults the
   filter before touching the terms dict; here the consult happens in
-  ``BucketData.chunks_for_terms`` (lazy path), skipping the postings
-  parquet scan entirely for bloom-negative terms.
+  ``BucketData.chunks_for_terms``, skipping the postings term
+  dictionary entirely for bloom-negative terms.
 
 Scale note: each bucket's filter is built independently (one Ray task per
 bucket, reading ONLY the postings ``term`` column), is a few hundred KB at

@@ -209,15 +209,14 @@ class NaiveBayesClassifier:
 
     def _prefetch(self, terms: list[str]) -> None:
         """Load hits for every missing term in ONE postings pass per bucket
-        (chunks_for_terms batches the parquet predicate scan)."""
+        (chunks_for_terms reads each term's row group once per reader)."""
         missing = sorted({t for t in terms if t not in self._hits_cache})
         if not missing:
             return
         n = len(self.model.classes)
         acc = {t: np.zeros(n, dtype=np.int64) for t in missing}
         for b in self.reader.bucket_ids:
-            chunks = self.reader.bucket(b).chunks_for_terms(missing,
-                                                            full=False)
+            chunks = self.reader.bucket(b).chunks_for_terms(missing)
             for t, ch in chunks.items():
                 ci = self._class_of[ch.docs()]
                 ci = ci[ci >= 0]

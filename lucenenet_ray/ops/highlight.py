@@ -74,7 +74,7 @@ def best_passages(reader, terms: list[str], doc_ids, window: int = PASSAGE_WINDO
         inb[inb] = doc_arr[idx[inb]] == want[inb]
         if not inb.any():
             continue
-        chunks = bucket.chunks_for_terms(list(terms), full=True)
+        chunks = bucket.chunks_for_terms(list(terms))
         for c in chunks.values():
             if c is None:
                 continue

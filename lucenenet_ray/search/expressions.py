@@ -246,7 +246,7 @@ def expression_sort(reader, query, expr_src: str, k: int = 10,
     all_v: list[np.ndarray] = []
     for b in reader.bucket_ids:
         bd = reader.bucket(b)
-        chunks = bd.chunks_for_terms(list(plan.all_terms), full=False)
+        chunks = bd.chunks_for_terms(list(plan.all_terms))
         lidx, scores = _eval_query(plan.query, chunks, plan, bd)
         live = bd.live_mask(plan.deleted_terms)
         if live is not None and lidx.size:

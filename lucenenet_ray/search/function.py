@@ -426,7 +426,7 @@ class OrdFieldSource(ValueSource):
         if ords is None:
             terms = self._field_terms(reader)
             ords = np.full(bucket.n_docs, -1, dtype=np.int64)
-            chunks = bucket.chunks_for_terms(terms, full=False)
+            chunks = bucket.chunks_for_terms(terms)
             for ordinal, t in enumerate(terms):
                 c = chunks.get(t)
                 if c is not None:

@@ -63,10 +63,10 @@ class ParallelBucketData:
             out.setdefault(id(bd), (bd, []))[1].append(t)
         return list(out.values())
 
-    def chunks_for_terms(self, terms: list[str], full: bool = True):
+    def chunks_for_terms(self, terms: list[str]):
         chunks = {}
         for bd, ts in self._route(list(terms)):
-            chunks.update(bd.chunks_for_terms(ts, full=full))
+            chunks.update(bd.chunks_for_terms(ts))
         return chunks
 
     def live_mask(self, deleted_terms: tuple[str, ...]) -> np.ndarray | None:
@@ -78,7 +78,7 @@ class ParallelBucketData:
             return self._plive[1]
         live = np.ones(self._body.n_docs, dtype=bool)
         hit = False
-        chunks = self.chunks_for_terms(list(deleted_terms), full=False)
+        chunks = self.chunks_for_terms(list(deleted_terms))
         for c in chunks.values():
             # map against SELF: norms() delegates to the body bucket
             live[c.local_ids(self)] = False

@@ -44,7 +44,7 @@ def payload_stats(reader, term: str) -> list[tuple[int, int, int, int, int]]:
     out: list[tuple[int, int, int, int, int]] = []
     for b in reader.bucket_ids:
         bd = reader.bucket(b)
-        c = bd.chunks_for_terms([term], full=False).get(term)
+        c = bd.chunks_for_terms([term]).get(term)
         if c is None:
             continue
         n, mn, mx, sm = _per_doc_reduce(c)
@@ -77,7 +77,7 @@ def payload_term_topk(reader, term: str, k: int = 10,
     all_s: list[np.ndarray] = []
     for b in reader.bucket_ids:
         bd = reader.bucket(b)
-        c = bd.chunks_for_terms([term], full=False).get(term)
+        c = bd.chunks_for_terms([term]).get(term)
         if c is None:
             continue
         from lucenenet_ray.search.bm25 import score_freqs

@@ -2,10 +2,12 @@
 
 The IndexSearcher-side state model (SURVEY §2.3): a reader pins term
 dictionaries and norms once and serves many queries — here per doc-range
-bucket. Postings rows are term-sorted parquet; at small scale a bucket's
-postings load wholesale, at large scale `filtered` mode reads only the query
-terms' rows via parquet predicate pushdown over the sorted term column (the
-row-group stats act as the .tip prefix index, SURVEY §2.5).
+bucket. Postings and termstats rows are term-sorted parquet, and every term
+lookup goes through a ``TermDict`` over the file: the footer's per-row-group
+min/max ``term`` statistics are the .tip block index (SURVEY §2.5), a lookup
+reads the one row group that can hold the term once per reader, and later
+lookups in it are a ``searchsorted`` to a row. A ``PostingsChunk`` is built
+only for a term that is looked up.
 """
 
 from __future__ import annotations
@@ -23,6 +25,101 @@ import pyarrow.parquet as pq
 
 from lucenenet_ray.index.build import postings_file_name, term_hpart
 from lucenenet_ray.index.codec import decode_docs_freqs
+
+
+def _open_parquet(path: str) -> pq.ParquetFile:
+    """Every parquet open the reader makes for postings, termstats and norms."""
+    return pq.ParquetFile(path)
+
+
+class TermDict:
+    """Terms index over one term-sorted parquet file (a postings
+    ``bucket=NNNNN_hHH.parquet`` or a ``termstats`` file), BlockTree's .tip
+    over .tim (SURVEY §2.5). The footer's row-group min/max ``term``
+    statistics are the block index: a lookup binary-searches them to the one
+    row group that can hold the term, reads it once and keeps it with its
+    term column as a sorted key array. Statistics are only bounds; a file
+    without them, or whose row-group ranges overlap, is one block of all its
+    row groups. Every read goes through the handle that read the footer, so
+    a block never comes from another version of the file; the handle closes
+    once every block is read."""
+
+    def __init__(self, path: str):
+        self._pf = _open_parquet(path)
+        md = self._pf.metadata
+        n = md.num_row_groups
+        lo, hi = [], []
+        for g in range(n):
+            rg = md.row_group(g)
+            if g == 0:  # not md.schema: each ParquetSchema leaks native memory
+                j = [rg.column(c).path_in_schema
+                     for c in range(rg.num_columns)].index("term")
+            st = rg.column(j).statistics
+            if st is None or not st.has_min_max:
+                break
+            lo.append(st.min)
+            hi.append(st.max)
+        if len(lo) == n and all(h < l for h, l in zip(hi, lo[1:])):
+            self._blocks = [[g] for g in range(n)]
+            self._lo = np.array(lo, dtype=object)
+            self._hi = np.array(hi, dtype=object)
+        else:
+            self._blocks = [list(range(n))] if n else []
+            self._lo = self._hi = None
+        if not self._blocks:
+            self._pf.close()
+        self._read: dict[int, tuple[np.ndarray, pa.Table]] = {}
+
+    def _may_hold(self, b: int, lower: str | None, upper: str | None) -> bool:
+        return self._lo is None or not (
+            (upper is not None and self._lo[b] > upper)
+            or (lower is not None and self._hi[b] < lower))
+
+    def block(self, b: int) -> tuple[np.ndarray, pa.Table]:
+        """(sorted term keys, rows) of block ``b``, read once."""
+        got = self._read.get(b)
+        if got is None:
+            t = self._pf.read_row_groups(self._blocks[b], use_threads=False)
+            col = t.column("term").combine_chunks()
+            if len(col) > 1 and pc.any(pc.less(col[1:], col[:-1])).as_py():
+                t = t.take(pc.sort_indices(col))
+                col = t.column("term").combine_chunks()
+            got = self._read[b] = (col.to_numpy(zero_copy_only=False), t)
+            if len(self._read) == len(self._blocks):
+                self._pf.close()
+        return got
+
+    def blocks(self):
+        """Every block's (sorted term keys, rows), reading what is unread."""
+        return (self.block(b) for b in range(len(self._blocks)))
+
+    def find(self, terms: list[str]) -> dict[str, tuple[pa.Table, int]]:
+        """term → (block rows, row) for the terms this file holds."""
+        out = {}
+        for term in terms:
+            # the first block whose max >= term
+            b = 0 if self._lo is None else int(self._hi.searchsorted(term))
+            if b >= len(self._blocks) or not self._may_hold(b, term, term):
+                continue
+            keys, t = self.block(b)
+            i = int(keys.searchsorted(term))
+            if i < len(keys) and keys[i] == term:
+                out[term] = (t, i)
+        return out
+
+    def terms_between(self, lower: str | None, upper: str | None,
+                      include_lower: bool, include_upper: bool) -> list[str]:
+        out: list[str] = []
+        for b in range(len(self._blocks)):
+            if not self._may_hold(b, lower, upper):
+                continue
+            keys, _t = self.block(b)
+            i = 0 if lower is None else keys.searchsorted(
+                lower, "left" if include_lower else "right")
+            j = len(keys) if upper is None else keys.searchsorted(
+                upper, "right" if include_upper else "left")
+            out.extend(keys[i:j].tolist())
+        return out
 
 
 @dataclass
@@ -178,7 +275,7 @@ class BucketData:
             else:
                 self._hpart_file[h] = f
         self._norms: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._postings_full: dict[str, PostingsChunk] | None = None
+        self._dicts: dict[str, TermDict] = {}
         self._chunk_cache: dict[str, PostingsChunk | None] = {}
         self._dv_cache: dict[str, np.ndarray] = {}
 
@@ -187,7 +284,7 @@ class BucketData:
         """(doc_ids ascending, doc_len int32, norm uint8)."""
         if self._norms is None:
             if os.path.exists(self.norms_path):
-                t = pq.read_table(self.norms_path)
+                t = _open_parquet(self.norms_path).read(use_threads=False)
                 self._norms = (
                     t.column("doc_id").to_numpy().astype(np.int64),
                     t.column("doc_len").to_numpy().astype(np.int32),
@@ -289,16 +386,29 @@ class BucketData:
                             if has_skip1 else None),
         )
 
+    def _dict(self, path: str) -> TermDict:
+        d = self._dicts.get(path)
+        if d is None:
+            d = self._dicts[path] = TermDict(path)
+        return d
+
+    def pin(self) -> int:
+        """Read every postings row group of this bucket; returns the number
+        of term rows. Builds no ``PostingsChunk``."""
+        return sum(len(keys) for f in self.postings_files
+                   for keys, _t in self._dict(f).blocks())
+
     def load_full(self) -> dict[str, PostingsChunk]:
-        if self._postings_full is None:
-            out: dict[str, PostingsChunk] = {}
-            for f in self.postings_files:
-                t = pq.read_table(f)
-                for i in range(t.num_rows):
-                    c = self._row_to_chunk(t, i)
-                    out[c.term] = c
-            self._postings_full = out
-        return self._postings_full
+        """term → chunk for every term in this bucket, in file order."""
+        out: dict[str, PostingsChunk] = {}
+        for f in self.postings_files:
+            for keys, t in self._dict(f).blocks():
+                for i, term in enumerate(keys.tolist()):
+                    c = self._chunk_cache.get(term)
+                    if c is None:
+                        c = self._chunk_cache[term] = self._row_to_chunk(t, i)
+                    out[term] = c
+        return out
 
     _live_cache: tuple[tuple[str, ...], "np.ndarray | None"] | None = None
 
@@ -312,7 +422,7 @@ class BucketData:
         if self._live_cache is not None and self._live_cache[0] == deleted_terms:
             return self._live_cache[1]
         live = np.ones(self.n_docs, dtype=bool)
-        chunks = self.chunks_for_terms(list(deleted_terms), full=False)
+        chunks = self.chunks_for_terms(list(deleted_terms))
         hit = False
         for c in chunks.values():
             live[c.local_ids(self)] = False
@@ -332,11 +442,8 @@ class BucketData:
                                   if self.bloom_path else None)
         return self._bloom_cached
 
-    def chunks_for_terms(self, terms: list[str], full: bool = True) -> dict[str, PostingsChunk]:
+    def chunks_for_terms(self, terms: list[str]) -> dict[str, PostingsChunk]:
         """term → chunk for terms present in this bucket."""
-        if full or self._postings_full is not None:
-            loaded = self.load_full()
-            return {t: loaded[t] for t in terms if t in loaded}
         missing = [t for t in terms if t not in self._chunk_cache]
         if missing:
             # Bloom consult (BloomFilteringPostingsFormat.cs: check the
@@ -363,16 +470,11 @@ class BucketData:
                     f = self._hpart_file.get(term_hpart(m, self.n_hparts))
                     if f is not None:
                         files.setdefault(f, []).append(m)
-            found = set()
             for f, ts in files.items():
-                t = pq.read_table(f, filters=pc.field("term").isin(ts))
-                for i in range(t.num_rows):
-                    c = self._row_to_chunk(t, i)
-                    self._chunk_cache[c.term] = c
-                    found.add(c.term)
+                for term, (t, i) in self._dict(f).find(ts).items():
+                    self._chunk_cache[term] = self._row_to_chunk(t, i)
             for m in missing:
-                if m not in found:
-                    self._chunk_cache[m] = None
+                self._chunk_cache.setdefault(m, None)
         return {
             t: self._chunk_cache[t]
             for t in terms
@@ -383,7 +485,7 @@ class BucketData:
 class IndexReader:
     """Whole-index handle: manifest + collection stats + buckets + term dict."""
 
-    def __init__(self, index_path: str, full_buckets: bool = True,
+    def __init__(self, index_path: str,
                  deletes_path: str | None = None,
                  dv_updates_path: str | None = None):
         self.index_path = index_path
@@ -391,9 +493,9 @@ class IndexReader:
             self.manifest = json.load(f)
         self.num_docs: int = self.manifest["n_docs"]
         self.sum_total_term_freq: int = self.manifest["sum_total_term_freq"]
-        self.full_buckets = full_buckets
         self._buckets: dict[int, BucketData] = {}
         self._termstats_ds = None
+        self._ts_dicts: list[TermDict] | None = None
         self._stats_cache: dict[str, tuple[int, int] | None] = {}
         # tombstone deletes (IndexWriter.DeleteDocuments analog, deletes.py):
         # default log location is <index>/deletes; pass an explicit sidecar
@@ -516,7 +618,7 @@ class IndexReader:
         relevant = [(t, v) for (t, f, v) in self.dv_updates if f == field]
         if relevant:
             vals = vals.copy()
-            chunks = bd.chunks_for_terms([t for t, _ in relevant], full=False)
+            chunks = bd.chunks_for_terms([t for t, _ in relevant])
             for term, value in relevant:
                 c = chunks.get(term)
                 if c is not None:
@@ -540,7 +642,7 @@ class IndexReader:
         relevant = [(t, v) for (t, f, v) in self.dvb_updates if f == field]
         if relevant:
             vals = vals.copy()
-            chunks = bd.chunks_for_terms([t for t, _ in relevant], full=False)
+            chunks = bd.chunks_for_terms([t for t, _ in relevant])
             for term, value in relevant:
                 c = chunks.get(term)
                 if c is not None:
@@ -554,6 +656,16 @@ class IndexReader:
             self._termstats_ds = pads.dataset(os.path.join(self.index_path, "termstats"))
         return self._termstats_ds
 
+    def _termstats_dicts(self) -> list[TermDict]:
+        """One ``TermDict`` per termstats file (the distributed termstats
+        write leaves several)."""
+        if self._ts_dicts is None:
+            import glob as _glob
+
+            self._ts_dicts = [TermDict(f) for f in sorted(_glob.glob(
+                os.path.join(self.index_path, "termstats", "*.parquet")))]
+        return self._ts_dicts
+
     def term_stats(self, terms: list[str]) -> dict[str, tuple[int, int]]:
         """term → (df, ttf) over the whole index; absent terms omitted
         (df=0 clauses contribute nothing, FIXTURES §4). Cached per reader —
@@ -562,19 +674,12 @@ class IndexReader:
         if not terms:
             return {}
         missing = [t for t in terms if t not in self._stats_cache]
-        if missing:
-            t = self._termstats().to_table(filter=pc.field("term").isin(missing))
-            found = set()
-            for i in range(t.num_rows):
-                term = t.column("term")[i].as_py()
-                self._stats_cache[term] = (
-                    int(t.column("df")[i].as_py()),
-                    int(t.column("ttf")[i].as_py()),
-                )
-                found.add(term)
-            for m in missing:
-                if m not in found:
-                    self._stats_cache[m] = None
+        for d in self._termstats_dicts() if missing else ():
+            for term, (t, i) in d.find(missing).items():
+                self._stats_cache[term] = (int(t.column("df")[i].as_py()),
+                                           int(t.column("ttf")[i].as_py()))
+        for m in missing:
+            self._stats_cache.setdefault(m, None)
         return {
             t: v for t in terms if (v := self._stats_cache.get(t)) is not None
         }
@@ -596,19 +701,14 @@ class IndexReader:
     def terms_in_range(self, lower: str | None, upper: str | None,
                        include_lower: bool = True,
                        include_upper: bool = False) -> list[str]:
-        """Range scan over the SORTED term dictionary with parquet row-group
-        min/max pushdown — the .tip prefix-index analog (BlockTree terms are
-        prefix-sorted for exactly this reason, BlockTreeTermsWriter.cs:146-168).
-        Never materializes the full vocabulary."""
-        expr = None
-        if lower is not None:
-            e = (pc.field("term") >= lower) if include_lower else (pc.field("term") > lower)
-            expr = e
-        if upper is not None:
-            e = (pc.field("term") <= upper) if include_upper else (pc.field("term") < upper)
-            expr = e if expr is None else expr & e
-        t = self._termstats().to_table(columns=["term"], filter=expr)
-        return sorted(t.column("term").to_pylist())
+        """Range scan over the SORTED term dictionary: row-group min/max
+        bounds pick the blocks, a ``searchsorted`` the rows — the .tip
+        prefix-index analog (BlockTree terms are prefix-sorted for exactly
+        this reason, BlockTreeTermsWriter.cs:146-168). Reads only the row
+        groups the range touches."""
+        return sorted(t for d in self._termstats_dicts()
+                      for t in d.terms_between(lower, upper, include_lower,
+                                               include_upper))
 
     def expand_query(self, q) -> list[str]:
         """Type-aware MultiTermQuery rewrite (MultiTermQuery.cs:63-196),

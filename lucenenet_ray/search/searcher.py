@@ -771,11 +771,9 @@ def score_bucket(bucket: BucketData, plan: QueryPlan, k: int,
                  prune: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
     """Score one bucket → (top-k GLOBAL docIDs, scores, total_hits).
 
-    ``full=False``: cold/sequential callers read ONLY the query terms' rows
-    via parquet predicate pushdown on the sorted term column; warm pinned
-    actors (QueryServer.warm) already hold the full bucket and short-circuit
-    inside chunks_for_terms."""
-    chunks = bucket.chunks_for_terms(list(plan.all_terms), full=False)
+    Only the query terms' chunks are built; their row groups are read once
+    per reader (or already pinned by QueryServer.warm)."""
+    chunks = bucket.chunks_for_terms(list(plan.all_terms))
     q = plan.query
     live = bucket.live_mask(plan.deleted_terms)
     if prune and plan.similarity != "bm25":
@@ -1029,7 +1027,7 @@ def search(reader: IndexReader, query: Query, k: int = 10,
         if after is None:
             d, s, t = score_bucket(bd, plan, k, prune=prune)
         else:
-            chunks = bd.chunks_for_terms(list(plan.all_terms), full=False)
+            chunks = bd.chunks_for_terms(list(plan.all_terms))
             lidx, scores = _eval_query(plan.query, chunks, plan, bd)
             live = bd.live_mask(plan.deleted_terms)
             if live is not None and lidx.size:
@@ -1068,7 +1066,7 @@ def search_sorted_by_docvalue(
     all_v: list[np.ndarray] = []
     for b in reader.bucket_ids:
         bd = reader.bucket(b)
-        chunks = bd.chunks_for_terms(list(plan.all_terms), full=False)
+        chunks = bd.chunks_for_terms(list(plan.all_terms))
         lidx, _scores = _eval_query(plan.query, chunks, plan, bd)
         live = bd.live_mask(plan.deleted_terms)
         if live is not None and lidx.size:
@@ -1114,7 +1112,7 @@ def search_sorted_by_fields(
     all_c: list[list[np.ndarray]] = []
     for b in reader.bucket_ids:
         bd = reader.bucket(b)
-        chunks = bd.chunks_for_terms(list(plan.all_terms), full=False)
+        chunks = bd.chunks_for_terms(list(plan.all_terms))
         lidx, _scores = _eval_query(plan.query, chunks, plan, bd)
         live = bd.live_mask(plan.deleted_terms)
         if live is not None and lidx.size:
@@ -1150,7 +1148,7 @@ def rescore(reader: IndexReader, first_pass: TopDocs, query: Query,
     combined = first_pass.scores.astype(np.float32).copy()
     for b in reader.bucket_ids:
         bd = reader.bucket(b)
-        chunks = bd.chunks_for_terms(list(plan.all_terms), full=False)
+        chunks = bd.chunks_for_terms(list(plan.all_terms))
         lidx, s2 = _eval_query(plan.query, chunks, plan, bd)
         if lidx.size == 0:
             continue

@@ -2,9 +2,9 @@
 
 The SearcherManager / IndexSearcher-with-executor analog (SURVEY §2.3, §3.2):
 each ``QueryServer`` actor pins a disjoint set of doc-range buckets (postings
-+ norms loaded once, reused across queries); the driver plans the query ONCE
-(global stats → weights) and scatters the plan; per-bucket top-k come back
-and merge with TopDocs.Merge semantics. Latency scales with the slowest
+row groups + norms read once, reused across queries); the driver plans the
+query ONCE (global stats → weights) and scatters the plan; per-bucket top-k
+come back and merge with TopDocs.Merge semantics. Latency scales with the slowest
 actor, throughput with the pool size.
 
 On a real cluster each actor would be scheduled near its shard's storage;
@@ -36,11 +36,13 @@ class QueryServer:
         self.bucket_ids = list(bucket_ids)
 
     def warm(self) -> int:
-        """Load all pinned buckets' postings + norms; returns #terms loaded."""
+        """Read every postings row group and the norms of the pinned buckets;
+        returns #term rows read. Builds no per-term object: a chunk is made
+        when a query looks its term up."""
         n = 0
         for b in self.bucket_ids:
             bd = self.reader.bucket(b)
-            n += len(bd.load_full())
+            n += bd.pin()
             bd.norms()
         return n
 

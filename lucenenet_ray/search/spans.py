@@ -473,7 +473,7 @@ def span_search(reader: IndexReader, q: SpanQuery, k: int = 10) -> TopDocs:
     all_d, all_s, total = [], [], 0
     for b in reader.bucket_ids:
         bd = reader.bucket(b)
-        chunks = bd.chunks_for_terms(sorted(set(terms)), full=False)
+        chunks = bd.chunks_for_terms(sorted(set(terms)))
         lidx, freqs = span_eval_bucket(q, bd, chunks)
         live = bd.live_mask(plan.deleted_terms)
         if live is not None and lidx.size:
@@ -504,7 +504,7 @@ def span_counts(reader: IndexReader, q: SpanQuery) -> list[tuple[int, int]]:
     extract_terms(q, terms)
     for b in reader.bucket_ids:
         bd = reader.bucket(b)
-        chunks = bd.chunks_for_terms(sorted(set(terms)), full=False)
+        chunks = bd.chunks_for_terms(sorted(set(terms)))
         lidx, _freqs = span_eval_bucket(q, bd, chunks)
         if lidx.size == 0:
             continue

@@ -4,7 +4,7 @@ of the writer contract (delete-queue ordering, last-writer-wins update,
 merge invariance of the live doc set)."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
@@ -62,6 +62,9 @@ class _Model:
 @settings(max_examples=8, deadline=None,
           suppress_health_check=list(HealthCheck))
 @given(script=st.lists(_op, min_size=3, max_size=14))
+# every doc of the merge group is deleted: the merge leaves no shard
+@example(script=[("add", [0]), ("commit",), ("add", [0]), ("commit",),
+                 ("delete", 0), ("merge",)])
 def test_writer_matches_model(ray_session, tmp_path_factory, script):
     from lucenenet_ray.api import IndexSearcher, IndexWriter
     from lucenenet_ray.index.merge_policy import TieredMergePolicy
@@ -91,7 +94,9 @@ def test_writer_matches_model(ray_session, tmp_path_factory, script):
     w.commit()
     m.commit()
     if not w.num_shards:
-        assert not m.docs
+        # a merge drops a group whose every doc is deleted, so no shard
+        # means no live doc (the model keeps dead docs in ``docs``)
+        assert all(did in m.dead for did, _toks in m.docs), script
         return
     s = IndexSearcher(w.reader())
     for word in WORDS:

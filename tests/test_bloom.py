@@ -104,17 +104,15 @@ def test_build_bloom_saves_every_bucket(bloomed_index):
 def test_bloom_query_identity_and_scan_skip(bloomed_index, monkeypatch):
     """Search results are bit-identical with the bloom sidecar present, and
     a bloom-negative term never opens a postings file."""
-    import pyarrow.parquet as pq
-
     from lucenenet_ray.search import reader as reader_mod
     from lucenenet_ray.search.query import parse_query
     from lucenenet_ray.search.reader import IndexReader
     from lucenenet_ray.search.searcher import search
 
     path, _stats = bloomed_index
-    r = IndexReader(path, full_buckets=False)
+    r = IndexReader(path)
     td = search(r, parse_query("spark window"), k=10)
-    r_nobloom = IndexReader(path, full_buckets=False)
+    r_nobloom = IndexReader(path)
     for b in r_nobloom.bucket_ids:
         r_nobloom.bucket(b).bloom_path = None
     td2 = search(r_nobloom, parse_query("spark window"), k=10)
@@ -122,19 +120,19 @@ def test_bloom_query_identity_and_scan_skip(bloomed_index, monkeypatch):
     assert td.total_hits == td2.total_hits
 
     # absent term: all bucket lookups resolve via the bloom, zero file scans
-    r2 = IndexReader(path, full_buckets=False)
+    r2 = IndexReader(path)
     for b in r2.bucket_ids:
         r2.bucket(b)._bloom_set()  # preload sidecars before counting
     calls = {"n": 0}
-    orig = pq.read_table
+    orig = reader_mod._open_parquet
 
     def counting(*a, **kw):
         calls["n"] += 1
         return orig(*a, **kw)
 
-    monkeypatch.setattr(reader_mod.pq, "read_table", counting)
+    monkeypatch.setattr(reader_mod, "_open_parquet", counting)
     for b in r2.bucket_ids:
-        got = r2.bucket(b).chunks_for_terms(["zzzzqqqqxxxx"], full=False)
+        got = r2.bucket(b).chunks_for_terms(["zzzzqqqqxxxx"])
         assert got == {}
     assert calls["n"] == 0
 
@@ -143,10 +141,10 @@ def test_bloom_positive_terms_still_found(bloomed_index):
     from lucenenet_ray.search.reader import IndexReader
 
     path, _stats = bloomed_index
-    r = IndexReader(path, full_buckets=False)
+    r = IndexReader(path)
     found_any = False
     for b in r.bucket_ids:
-        got = r.bucket(b).chunks_for_terms(["spark"], full=False)
+        got = r.bucket(b).chunks_for_terms(["spark"])
         found_any |= bool(got)
     assert found_any
 

@@ -40,10 +40,10 @@ def _assert_pushdown_equals_full(path):
     from lucenenet_ray.search.reader import IndexReader
 
     terms = _all_terms(path)
-    cold = IndexReader(path, full_buckets=False)
+    cold = IndexReader(path)
     full = IndexReader(path)
     for b in full.bucket_ids:
-        got = cold.bucket(b).chunks_for_terms(terms, full=False)
+        got = cold.bucket(b).chunks_for_terms(terms)
         want = full.bucket(b).load_full()
         assert got.keys() == want.keys()
         for t in want:
@@ -52,22 +52,23 @@ def _assert_pushdown_equals_full(path):
 
 def test_one_term_lookup_opens_one_file_per_bucket(hpart_index, monkeypatch):
     from lucenenet_ray.index.build import postings_file_name, term_hpart
+    from lucenenet_ray.search import reader as reader_mod
     from lucenenet_ray.search.reader import IndexReader
 
-    r = IndexReader(hpart_index, full_buckets=False)
+    r = IndexReader(hpart_index)
     for b in r.bucket_ids:
         assert len(r.bucket(b).postings_files) == 4
     opened = []
-    orig = pq.read_table
+    orig = reader_mod._open_parquet
 
     def recording(source, *a, **kw):
         opened.append(str(source))
         return orig(source, *a, **kw)
 
-    monkeypatch.setattr(pq, "read_table", recording)
+    monkeypatch.setattr(reader_mod, "_open_parquet", recording)
     term = "spark"
     for b in r.bucket_ids:
-        assert term in r.bucket(b).chunks_for_terms([term], full=False)
+        assert term in r.bucket(b).chunks_for_terms([term])
     want = {os.path.join(hpart_index, "postings",
                          postings_file_name(b, term_hpart(term, 4)))
             for b in r.bucket_ids}

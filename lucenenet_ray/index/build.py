@@ -46,7 +46,9 @@ import pyarrow.parquet as pq
 
 from lucenenet_ray.analysis.standard import StandardAnalyzer
 from lucenenet_ray.index.codec import (
+    FORMAT,
     _grouped_take,
+    decode_docs_freqs,
     encode_postings,
     read_vints,
     write_vints,
@@ -84,10 +86,6 @@ class IndexConfig:
     boost_col: str | None = None
     k1: float = 1.2
     b: float = 0.75
-    # postings codec: "for" = bit-packed 128-blocks + freq-parity VInt tail
-    # (Lucene41PostingsFormat layout semantics); "vint" = plain delta+VInt
-    # (the v0 format). Recorded in the manifest (per-segment codec header).
-    codec: str = "for"
     # per-position payloads (FieldInfo.IndexOptions
     # DOCS_AND_FREQS_AND_POSITIONS_AND_OFFSETS /
     # TokenOffsetPayloadTokenFilter): "offset" stores each kept token's
@@ -413,7 +411,7 @@ def wire_table(terms: pa.Array, buckets: np.ndarray, hparts: np.ndarray,
     while costing a 7-pass encode here and a 7-pass decode in every reducer;
     raw int64 is one memcpy each way), freqs VInt (mostly 1 byte), norms raw
     uint8. Transient format only — the on-disk index keeps Lucene-style
-    delta+VInt (codec.py)."""
+    d-gap FOR blocks + VInt tails (codec.py)."""
     bounds = np.concatenate(([0], np.cumsum(lens)))
     doc_b = np.asarray(docs).astype("<i8").tobytes()
     doc_rows = [doc_b[bounds[i] * 8 : bounds[i + 1] * 8]
@@ -585,8 +583,7 @@ def invert_batch_fn(batch: pa.Table, cfg: IndexConfig, text_col: str,
     return inv(batch)
 
 
-def _merge_group(group: pa.Table, store_positions: bool,
-                 codec: str) -> pa.Table:
+def _merge_group(group: pa.Table, store_positions: bool) -> pa.Table:
     """Merge all partial rows of one (bucket, hpart) group: concatenate each
     term's per-batch runs, sort them by docID, and encode every term's
     canonical chunk (d-gaps + 128-block skip/block-max metadata) in ONE
@@ -624,7 +621,7 @@ def _merge_group(group: pa.Table, store_positions: bool,
     dfs = np.bincount(pair_term, minlength=uniq.size)
     post_offs = np.concatenate(([0], np.cumsum(dfs)))
     docs, freqs, norms = g_docs[order], g_freqs[order], g_norms[order]
-    enc = encode_postings(docs, freqs, norms, None, codec=codec, dfs=dfs)
+    enc = encode_postings(docs, freqs, norms, None, dfs=dfs)
 
     # Position streams are NEVER decoded in the merge: each (term, doc)
     # pair's run is a self-contained VInt segment (first delta absolute per
@@ -697,11 +694,11 @@ def _merge_group(group: pa.Table, store_positions: bool,
 
 
 def _merge_write_group(group: pa.Table, store_positions: bool,
-                       index_path: str, codec: str) -> pa.Table:
+                       index_path: str) -> pa.Table:
     """Fused reducer: merge one (bucket, hpart) group's chunks, then write
     postings (term-sorted) and — for the hpart-0 group — the bucket's norms.
     Returns one manifest row."""
-    merged = _merge_group(group, store_positions, codec=codec)
+    merged = _merge_group(group, store_positions)
     bucket = int(group.column("bucket")[0].as_py())
     hpart = int(group.column("hpart")[0].as_py())
 
@@ -716,14 +713,13 @@ def _merge_write_group(group: pa.Table, store_positions: bool,
     n_docs = 0
     sum_len = 0
     if doclen_rows.num_rows:
-        from lucenenet_ray.index.codec import decode_docs, decode_freqs
-
         row = doclen_rows.slice(0, 1)
         nd = int(row.column("df")[0].as_py())
-        db = row.column("doc_bytes")[0].as_py()
-        doc_ids = decode_docs(db, nd, codec=codec)
-        doc_lens = decode_freqs(row.column("freq_bytes")[0].as_py(), nd,
-                                codec=codec, doc_bytes=db)
+        doc_ids, doc_lens = decode_docs_freqs(
+            row.column("doc_bytes")[0].as_py(),
+            row.column("freq_bytes")[0].as_py(), nd,
+            row.column("block_doc_off")[0].values.to_numpy(),
+            row.column("block_freq_off")[0].values.to_numpy())
         # the inverter-encoded norm bytes carried through the merge (they
         # embed any index-time boost, FieldInvertState.Boost)
         norms = np.frombuffer(row.column("doclen_norm_bytes")[0].as_py(),
@@ -883,7 +879,7 @@ def _hash_shuffle_merge_write(block_refs, cfg: IndexConfig,
         out_rows = []
         for kv in np.unique(key):
             m = _merge_write_group(t.filter(pa.array(key == kv)), store_pos_,
-                                   index_path, cfg.codec)
+                                   index_path)
             out_rows.append({c: m.column(c)[0].as_py() for c in m.column_names})
         return out_rows
 
@@ -964,8 +960,9 @@ def write_termstats(index_path: str, n_term_rows: int) -> None:
 def finish_index(index_path: str, config: dict, rows: list[dict],
                  **extra) -> dict:
     """Fold the reducers' manifest rows into per-bucket stats, write global
-    termstats and an atomic manifest.json; returns the manifest. ``extra``
-    entries (e.g. a merge's ``id_ranges``) are added to the manifest."""
+    termstats and an atomic manifest.json; returns the manifest. ``config``
+    is recorded with the postings layout (``codec``); ``extra`` entries
+    (e.g. a merge's ``id_ranges``) are added to the manifest."""
     by_bucket: dict[int, dict] = {}
     for r in rows:
         b = int(r["bucket"])
@@ -983,7 +980,7 @@ def finish_index(index_path: str, config: dict, rows: list[dict],
 
     manifest = {
         "format_version": 1,
-        "config": config,
+        "config": config | {"codec": FORMAT},
         "n_docs": sum(r["n_docs"] for r in buckets),
         "sum_total_term_freq": sum(r["sum_len"] for r in buckets),
         **extra,

@@ -14,11 +14,34 @@ import os
 import numpy as np
 import pyarrow.parquet as pq
 
-from lucenenet_ray.index.codec import decode_docs, decode_freqs, decode_positions
+from lucenenet_ray.index.codec import (
+    BLOCK_SIZE,
+    _frame_nbytes,
+    check_manifest,
+    decode_docs_freqs,
+    decode_positions,
+)
+
+_BLOCK_COLUMNS = ("block_last_doc", "block_doc_off", "block_freq_off",
+                  "block_max_freq", "block_max_norm")
 
 
 class CorruptIndexError(Exception):
     pass
+
+
+def _frames_chain(buf: bytes, offs: np.ndarray, end: int) -> bool:
+    """True when FOR frames start at every offset in ``offs``, back to back
+    from byte 0, and the last one ends at ``end``."""
+    if offs.size == 0:
+        return end == 0
+    if offs[0] != 0 or offs.min() < 0 or offs.max() >= len(buf):
+        return False
+    widths = np.frombuffer(buf, dtype=np.uint8)[offs]
+    if widths.max() > 64:
+        return False
+    nxt = offs + 1 + _frame_nbytes(widths.astype(np.int64))
+    return bool(np.array_equal(nxt[:-1], offs[1:]) and nxt[-1] == end)
 
 
 def check_index(index_path: str, check_positions: bool = True) -> dict:
@@ -26,7 +49,7 @@ def check_index(index_path: str, check_positions: bool = True) -> dict:
 
     with open(os.path.join(index_path, "manifest.json")) as f:
         manifest = json.load(f)
-    codec = manifest.get("config", {}).get("codec", "vint")
+    check_manifest(manifest)
 
     n_terms = 0
     n_postings = 0
@@ -41,11 +64,25 @@ def check_index(index_path: str, check_positions: bool = True) -> dict:
         for i in range(t.num_rows):
             term = terms[i]
             df = t.column("df")[i].as_py()
+            n_blocks = -(-df // BLOCK_SIZE)
+            for c in _BLOCK_COLUMNS:
+                if len(t.column(c)[i].values) != n_blocks:
+                    raise CorruptIndexError(
+                        f"{fp}:{term}: {c} has {len(t.column(c)[i].values)} "
+                        f"entries for df {df}")
+            db = t.column("doc_bytes")[i].as_py()
+            fb = t.column("freq_bytes")[i].as_py()
+            doc_off = t.column("block_doc_off")[i].values.to_numpy()
+            freq_off = t.column("block_freq_off")[i].values.to_numpy()
+            n_full = df // BLOCK_SIZE
+            tail_at = int(doc_off[n_full]) if df % BLOCK_SIZE else len(db)
+            if not (_frames_chain(db, doc_off[:n_full], tail_at)
+                    and tail_at <= len(db)
+                    and _frames_chain(fb, freq_off[:n_full], len(fb))):
+                raise CorruptIndexError(f"{fp}:{term}: block offsets do not "
+                                        "match the postings streams")
             try:
-                db = t.column("doc_bytes")[i].as_py()
-                docs = decode_docs(db, df, codec=codec)
-                freqs = decode_freqs(t.column("freq_bytes")[i].as_py(), df,
-                                     codec=codec, doc_bytes=db)
+                docs, freqs = decode_docs_freqs(db, fb, df, doc_off, freq_off)
             except ValueError as e:
                 raise CorruptIndexError(f"{fp}:{term}: {e}") from e
             if len(docs) != df or len(freqs) != df:

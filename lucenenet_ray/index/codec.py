@@ -1,4 +1,5 @@
-"""Postings wire format: delta-gap + VInt with 128-block skip/block-max metadata.
+"""Postings on-disk format: d-gaps in FOR-packed 128-blocks plus a VInt tail,
+with 128-block skip/block-max metadata.
 
 Matches the layout *semantics* of Lucene 4.1's postings format
 (``src/Lucene.Net/Codecs/Lucene41/Lucene41PostingsFormat.cs:200-225``): docIDs
@@ -16,37 +17,33 @@ Encode and decode are vectorized numpy with no per-posting Python loop.
 ``encode_postings`` encodes a whole run of terms (a reducer's (bucket, hpart)
 group) in one pass with no per-term loop either: FOR frames are packed once
 per bit width, every parity tail goes through one ``write_vints`` call, and
-per-term and per-block byte offsets come from one terminator scan of each
-stream. Its cost grows with the postings, as Lucene's streaming postings
-writer does, not with the number of terms.
+per-term and per-block byte offsets come from the frame sizes and one
+terminator scan of the tails. Its cost grows with the postings, as Lucene's
+streaming postings writer does, not with the number of terms.
 
-Two codecs, selected per index (``IndexConfig.codec``, recorded in the
-manifest — the per-segment codec-name header of SegmentInfos):
+One postings layout, recorded in the manifest as ``config.codec = "for"``
+(the per-segment codec-name header of SegmentInfos): full 128-blocks are
+bit-packed FOR frames — 1 width byte + w 16-byte bit-planes per block
+(plane j = bit j of all 128 values; same size as Lucene's value-major
+packing, chosen for vectorized bulk decode) — and the partial tail block is
+VInt with Lucene's freq-parity fold: ``(docDelta << 1) | (freq == 1)`` then
+the freq only when > 1, interleaved in the DOC stream
+(``Lucene41PostingsFormat.cs:200-225``, ``ForUtil.cs:157-244``; semantics
+parity, not byte parity). The freq stream holds only full FOR blocks.
+Positions and payloads are per-doc self-contained VInt runs — that is what
+lets the segment merge and the expunge rewrite move their bytes without
+decoding them (build.py _merge_group; a deliberate departure from Lucene's
+packed .pos). ``check_manifest`` rejects an index that records another
+layout.
 
-- ``vint``: every stream plain delta+VInt (the v0 format).
-- ``for`` (default): full 128-blocks are bit-packed FOR frames — 1 width
-  byte + w 16-byte bit-planes per block (plane j = bit j of all 128 values;
-  same size as Lucene's value-major packing, chosen for vectorized bulk
-  decode) — and the partial tail block is VInt with Lucene's freq-parity
-  fold: ``(docDelta << 1) | (freq == 1)`` then the freq only when > 1,
-  interleaved in the DOC stream (``Lucene41PostingsFormat.cs:200-225``,
-  ``ForUtil.cs:157-244``; semantics parity, not byte parity). The freq
-  stream holds only full FOR blocks. Positions stay per-doc self-contained
-  VInt runs in BOTH codecs — that is what lets the segment merge and the
-  expunge rewrite move position bytes without decoding them (build.py
-  _merge_group; a deliberate departure from Lucene's packed .pos).
-
-A third registry entry, ``simpletext``, mirrors the SimpleText debug codec
-(ASCII decimal, one value per line). The reference's other extra formats
-(``src/Lucene.Net.Codecs/{Memory,Direct,Sep,IntBlock,Appending,DiskDV}``)
+The reference's other postings formats (``Codecs/SimpleText`` and
+``src/Lucene.Net.Codecs/{Memory,Direct,Sep,IntBlock,Appending,DiskDV}``)
 are n/a by design: they are alternate PHYSICAL layouts of the same postings
-contract motivated by JVM heap / filesystem constraints — here the
-per-bucket Arrow tables actor-cached by ``search/reader.py`` ARE the
+contract, a debug format or motivated by JVM heap / filesystem constraints
+— here the per-bucket Arrow tables cached by ``search/reader.py`` ARE the
 RAM-resident (Direct/Memory) form, Parquet files are already append-only
 immutable (Appending), and doc values already live as Parquet columns
-(DiskDV). The format CONTRACT those codecs share — round-trip, skip
-metadata, query identity — is what this registry tests across its three
-implementations.
+(DiskDV).
 """
 
 from __future__ import annotations
@@ -67,25 +64,14 @@ BLOCK_SIZE = 128  # Lucene41PostingsFormat.cs:375
 SKIP1_FANOUT = 128
 
 
-def build_skip1(block_last_doc: np.ndarray, block_max_freq: np.ndarray,
-                block_max_norm: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                                     np.ndarray]:
-    """Level-1 skip entries of one term: per SKIP1_FANOUT blocks, (last doc,
-    max freq, max norm). Empty until the term has at least 2 regions
-    (df > 128²) — Lucene's writer likewise only adds a level when it has
-    ≥2 entries."""
-    nb = len(block_last_doc)
-    return _skip1_runs(np.asarray(block_last_doc), np.asarray(block_max_freq),
-                       np.asarray(block_max_norm),
-                       np.array([0, nb], dtype=np.int64))[:3]
-
-
 def _skip1_runs(blk_last: np.ndarray, blk_maxf: np.ndarray,
                 blk_maxn: np.ndarray, block_offs: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``build_skip1`` over a run of terms whose level-0 entries are
-    ``[block_offs[t], block_offs[t+1])`` → the flat level-1 arrays plus each
-    term's level-1 offsets. Only terms with ≥ 2 regions get entries."""
+    """Level-1 skip entries of a run of terms whose level-0 entries are
+    ``[block_offs[t], block_offs[t+1])``: per SKIP1_FANOUT blocks, (last
+    doc, max freq, max norm) → the flat level-1 arrays plus each term's
+    level-1 offsets. Only terms with ≥ 2 regions (df > 128²) get entries —
+    Lucene's writer likewise only adds a level when it has ≥ 2 entries."""
     nblk = np.diff(block_offs)
     n1 = np.where(nblk >= SKIP1_FANOUT * 2,
                   (nblk + SKIP1_FANOUT - 1) // SKIP1_FANOUT, 0)
@@ -110,43 +96,24 @@ def _skip1_runs(blk_last: np.ndarray, blk_maxf: np.ndarray,
         skip1_offs,
     )
 
-DEFAULT_CODEC = "for"
 
-# Registered codec names (the 2-codec registry of SURVEY §2.12 plus the
-# SimpleText debug codec). Selected per index via IndexConfig.codec and
-# recorded in the manifest — the per-segment codec-name header of
-# SegmentInfos.
-CODECS = ("for", "vint", "simpletext")
+# the manifest's ``config.codec`` of every index this engine writes and reads
+FORMAT = "for"
 
 
-# --- SimpleText debug codec (Codecs/SimpleText/SimpleTextCodec.cs analog:
-# "FOR RECREATIONAL USE ONLY" — a human-readable index you can cat).
-# Doc and freq streams are ASCII decimal lines, one value per line (d-gaps
-# in the doc stream, plain freqs in the freq stream; NO parity fold).
-# Positions stay per-doc VInt runs like every other codec here — that
-# invariant is what lets the segment merge move position bytes without
-# decoding them. Semantics parity with the reference (a readable debug
-# format plugged into the same codec registry), not byte parity.
-
-def _encode_simpletext(vals: np.ndarray) -> np.ndarray:
-    """→ uint8 stream of ``<value>\\n`` lines: one join over every value
-    (the formatting is per value in C; this codec is a debug format)."""
-    if vals.size == 0:
-        return np.empty(0, dtype=np.uint8)
-    text = "\n".join(map(str, vals.tolist())) + "\n"
-    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-
-
-def _decode_simpletext(buf: np.ndarray, count: int | None = None) -> np.ndarray:
-    """Parse a slice of ``<value>\\n`` lines → uint64 array."""
-    b = np.asarray(buf, dtype=np.uint8)
-    if b.size == 0:
-        return np.empty(0, dtype=np.uint64)
-    vals = np.array(bytes(b).split(), dtype=np.uint64)
-    if count is not None and vals.size != count:
+def check_manifest(manifest: dict) -> None:
+    """Raise ``ValueError`` unless ``manifest`` records this engine's
+    postings layout: ``config.codec`` must be ``FORMAT`` (a missing key
+    meant the retired plain-VInt layout) and ``config.n_hparts`` must be
+    present (it names the per-hpart postings files)."""
+    cfg = manifest.get("config", {})
+    if cfg.get("codec") != FORMAT:
         raise ValueError(
-            f"simpletext stream had {vals.size} values, expected {count}")
-    return vals
+            f"index manifest config.codec is {cfg.get('codec')!r}; only the "
+            f"{FORMAT!r} postings layout can be read")
+    if "n_hparts" not in cfg:
+        raise ValueError("index manifest has no config.n_hparts; only "
+                         "per-hpart postings files can be read")
 
 
 _PLANE_BYTES = BLOCK_SIZE // 8  # 16 bytes per bit-plane
@@ -189,8 +156,9 @@ def _pack_for_frames(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, sizes
 
 
-def _frame_nbytes(w: int) -> int:
-    return w * _PLANE_BYTES if w else 0
+def _frame_nbytes(w):
+    """Payload bytes of a FOR frame of width ``w`` (an int or an array)."""
+    return w * _PLANE_BYTES
 
 
 def _planes_to_vals(payload: np.ndarray, k: int, w: int) -> np.ndarray:
@@ -230,7 +198,8 @@ def _encode_tail_parity(deltas: np.ndarray, freqs: np.ndarray,
     vals[slot] = folded
     vals[slot[~one] + 1] = freqs[~one].astype(np.uint64)
     stream = write_vints(vals)
-    value_start = _value_starts(stream, (stream & 0x80) == 0)
+    # byte start of every value: one scan for the terminator bytes
+    value_start = np.concatenate(([0], np.flatnonzero((stream & 0x80) == 0) + 1))
     return stream, np.append(value_start[slot], stream.size)
 
 
@@ -316,12 +285,6 @@ def read_vints(buf: np.ndarray, count: int | None = None) -> np.ndarray:
     return np.bitwise_or.reduceat(groups, starts)
 
 
-def _value_starts(stream: np.ndarray, is_end: np.ndarray) -> np.ndarray:
-    """Byte start of every value of a delimited stream, plus the stream
-    length: one scan for the value-terminating bytes (``is_end``)."""
-    return np.concatenate(([0], np.flatnonzero(is_end) + 1)).astype(np.int64)
-
-
 def _grouped_take(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Vectorized concat of aranges: [starts[i] .. starts[i]+lengths[i]) ."""
     total = int(lengths.sum())
@@ -351,7 +314,6 @@ def encode_postings(
     freqs: np.ndarray,
     norms: np.ndarray,
     positions: list[np.ndarray] | None = None,
-    codec: str = "vint",
     dfs: np.ndarray | None = None,
 ) -> dict:
     """Encode a run of terms' postings in one vectorized pass.
@@ -364,8 +326,8 @@ def encode_postings(
 
     Returns a dict of the terms' buffers back to back, with per-term offsets:
       doc_bytes / freq_bytes — term t's are bytes [doc_offs[t], doc_offs[t+1])
-                     and [freq_offs[t], freq_offs[t+1]); d-gaps and freqs
-                     per ``codec``
+                     and [freq_offs[t], freq_offs[t+1]); FOR frames and
+                     parity tails
       pos_bytes    — VInt per-doc delta-encoded positions (concatenated;
                      per-doc counts == freqs), empty if positions is None
       block_last_doc / block_doc_off / block_freq_off — one entry per
@@ -388,28 +350,13 @@ def encode_postings(
         first = post_offs[:-1][dfs > 0]
         deltas[first] = docs[first]
 
-    if codec == "for":
-        doc_bytes, doc_sizes, freq_bytes, freq_sizes = _for_streams(
-            deltas, freqs, blk_start, blk_len)
-        doc_starts = np.concatenate(([0], np.cumsum(doc_sizes)))
-        freq_starts = np.concatenate(([0], np.cumsum(freq_sizes)))
-        doc_offs, freq_offs = doc_starts[block_offs], freq_starts[block_offs]
-        blk_doc_off = doc_starts[:-1] - doc_offs[blk_term]
-        blk_frq_off = freq_starts[:-1] - freq_offs[blk_term]
-    else:
-        if codec == "simpletext":
-            doc_bytes = _encode_simpletext(deltas)
-            freq_bytes = _encode_simpletext(freqs.astype(np.uint64))
-            doc_starts = _value_starts(doc_bytes, doc_bytes == ord("\n"))
-            freq_starts = _value_starts(freq_bytes, freq_bytes == ord("\n"))
-        else:
-            doc_bytes = write_vints(deltas)
-            freq_bytes = write_vints(freqs.astype(np.uint64))
-            doc_starts = _value_starts(doc_bytes, (doc_bytes & 0x80) == 0)
-            freq_starts = _value_starts(freq_bytes, (freq_bytes & 0x80) == 0)
-        doc_offs, freq_offs = doc_starts[post_offs], freq_starts[post_offs]
-        blk_doc_off = doc_starts[blk_start] - doc_offs[blk_term]
-        blk_frq_off = freq_starts[blk_start] - freq_offs[blk_term]
+    doc_bytes, doc_sizes, freq_bytes, freq_sizes = _for_streams(
+        deltas, freqs, blk_start, blk_len)
+    doc_starts = np.concatenate(([0], np.cumsum(doc_sizes)))
+    freq_starts = np.concatenate(([0], np.cumsum(freq_sizes)))
+    doc_offs, freq_offs = doc_starts[block_offs], freq_starts[block_offs]
+    blk_doc_off = doc_starts[:-1] - doc_offs[blk_term]
+    blk_frq_off = freq_starts[:-1] - freq_offs[blk_term]
 
     if positions is not None and len(positions):
         # per-doc position deltas (first delta is the absolute first position)
@@ -490,17 +437,16 @@ def decode_postings(
     doc_offs: np.ndarray,
     freq_offs: np.ndarray,
     dfs: np.ndarray,
-    codec: str,
-    block_doc_off: np.ndarray | None = None,
-    block_freq_off: np.ndarray | None = None,
+    block_doc_off: np.ndarray,
+    block_freq_off: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decode a run of terms' postings in one vectorized pass — the inverse
     of ``encode_postings`` over a run. Term t's streams are bytes
     [doc_offs[t], doc_offs[t+1]) and [freq_offs[t], freq_offs[t+1]), back to
-    back; ``for`` also takes the flat per-term-relative block offsets.
+    back, with the flat per-term-relative block offsets.
     → (docs int64, freqs int32), flat in (term, doc) order. For bulk reads
     (a merge re-reading whole buckets); queries decode one term's chunk,
-    or one block of it, with ``decode_docs``/``decode_freqs``."""
+    or one block of it, with ``decode_docs_freqs``/``decode_doc_block``."""
     db = np.frombuffer(doc_bytes, dtype=np.uint8)
     fb = np.frombuffer(freq_bytes, dtype=np.uint8)
     dfs = np.asarray(dfs, dtype=np.int64)
@@ -508,53 +454,32 @@ def decode_postings(
     freq_offs = np.asarray(freq_offs, dtype=np.int64)
     post_offs, _, blk_term, blk_start, blk_len = _run_blocks(dfs)
     n = int(post_offs[-1])
-    if codec == "for":
-        if (block_doc_off is None or block_freq_off is None
-                or len(block_doc_off) != blk_term.size
-                or len(block_freq_off) != blk_term.size):
-            raise ValueError(f"for codec needs {blk_term.size} block offsets "
-                             "per stream")
-        # absolute byte offset of every block in the run's streams
-        blk_doc = doc_offs[blk_term] + np.asarray(block_doc_off, dtype=np.int64)
-        blk_freq = freq_offs[blk_term] + np.asarray(block_freq_off,
-                                                    dtype=np.int64)
-        deltas = np.empty(n, dtype=np.uint64)
-        freqs = np.empty(n, dtype=np.uint64)
-        full = blk_len == BLOCK_SIZE
-        n_full = int(full.sum())
-        if n_full:
-            vals = np.empty(n_full * BLOCK_SIZE, dtype=np.uint64)
-            at = (blk_start[full][:, None] + np.arange(BLOCK_SIZE)).ravel()
-            _unpack_for_stream(db, n_full, vals, blk_doc[full])
-            deltas[at] = vals
-            _unpack_for_stream(fb, n_full, vals, blk_freq[full])
-            freqs[at] = vals
-        if n_full < blk_len.size:
-            # every tail ends its term's doc stream; tails back to back are
-            # one parity stream (each holds whole postings)
-            t_start = blk_doc[~full]
-            t_end = doc_offs[blk_term[~full] + 1]
-            tails = db[_grouped_take(t_start, t_end - t_start)]
-            at = _grouped_take(blk_start[~full], blk_len[~full])
-            deltas[at], freqs[at] = _decode_tail_parity(tails, at.size)
-    else:
-        # the terms' streams back to back are one stream of n values;
-        # each term must start at its own value boundary
-        db = db[doc_offs[0]:doc_offs[-1]]
-        fb = fb[freq_offs[0]:freq_offs[-1]]
-        if codec == "simpletext":
-            deltas, freqs = _decode_simpletext(db, n), _decode_simpletext(fb, n)
-            doc_starts = _value_starts(db, db == ord("\n"))
-            freq_starts = _value_starts(fb, fb == ord("\n"))
-        else:
-            deltas, freqs = read_vints(db, n), read_vints(fb, n)
-            doc_starts = _value_starts(db, (db & 0x80) == 0)
-            freq_starts = _value_starts(fb, (fb & 0x80) == 0)
-        if not (np.array_equal(doc_starts[post_offs], doc_offs - doc_offs[0])
-                and np.array_equal(freq_starts[post_offs],
-                                   freq_offs - freq_offs[0])):
-            raise ValueError("postings streams corrupt: term boundaries do "
-                             "not fall on value boundaries")
+    if len(block_doc_off) != blk_term.size \
+            or len(block_freq_off) != blk_term.size:
+        raise ValueError(f"postings need {blk_term.size} block offsets per "
+                         "stream")
+    # absolute byte offset of every block in the run's streams
+    blk_doc = doc_offs[blk_term] + np.asarray(block_doc_off, dtype=np.int64)
+    blk_freq = freq_offs[blk_term] + np.asarray(block_freq_off, dtype=np.int64)
+    deltas = np.empty(n, dtype=np.uint64)
+    freqs = np.empty(n, dtype=np.uint64)
+    full = blk_len == BLOCK_SIZE
+    n_full = int(full.sum())
+    if n_full:
+        vals = np.empty(n_full * BLOCK_SIZE, dtype=np.uint64)
+        at = (blk_start[full][:, None] + np.arange(BLOCK_SIZE)).ravel()
+        _unpack_for_stream(db, vals, blk_doc[full])
+        deltas[at] = vals
+        _unpack_for_stream(fb, vals, blk_freq[full])
+        freqs[at] = vals
+    if n_full < blk_len.size:
+        # every tail ends its term's doc stream; tails back to back are
+        # one parity stream (each holds whole postings)
+        t_start = blk_doc[~full]
+        t_end = doc_offs[blk_term[~full] + 1]
+        tails = db[_grouped_take(t_start, t_end - t_start)]
+        at = _grouped_take(blk_start[~full], blk_len[~full])
+        deltas[at], freqs[at] = _decode_tail_parity(tails, at.size)
     # each term's first d-gap is its absolute first doc
     c = np.cumsum(deltas.astype(np.int64))
     nonempty = dfs > 0
@@ -562,28 +487,15 @@ def decode_postings(
     return c - np.repeat(base, dfs[nonempty]), freqs.astype(np.int32)
 
 
-def _unpack_for_stream(buf: np.ndarray, n_blocks: int, out: np.ndarray,
-                       offs: np.ndarray | None = None) -> int:
-    """Vectorized multi-frame unpack: frames grouped by width so each width
-    costs ONE unpackbits pass (≤64 groups), not one numpy call per block.
-    Fills out[: n_blocks*BLOCK_SIZE]; returns the byte offset after the
-    last frame. Pass the chunk's block offsets (``offs``) to skip the
-    sequential width-byte scan entirely."""
-    if offs is not None:
-        offs = np.asarray(offs[:n_blocks], dtype=np.int64)
-        widths = buf[offs].astype(np.int64)
-        last_w = int(widths[-1]) if n_blocks else 0
-        off = (int(offs[-1]) + 1 + _frame_nbytes(last_w)) if n_blocks else 0
-    else:
-        widths = np.empty(n_blocks, dtype=np.int64)
-        offs = np.empty(n_blocks, dtype=np.int64)
-        off = 0
-        for b in range(n_blocks):  # width-byte scan only — no per-block decode
-            offs[b] = off
-            w = int(buf[off])
-            widths[b] = w
-            off += 1 + _frame_nbytes(w)
-    ov = out[: n_blocks * BLOCK_SIZE].reshape(n_blocks, BLOCK_SIZE)
+def _unpack_for_stream(buf: np.ndarray, out: np.ndarray,
+                       offs: np.ndarray) -> None:
+    """Vectorized multi-frame unpack of the FOR frames that start at byte
+    offsets ``offs``: frames grouped by width so each width costs ONE
+    unpackbits pass (≤64 groups), not one numpy call per block. Fills
+    out[: len(offs)*BLOCK_SIZE]."""
+    offs = np.asarray(offs, dtype=np.int64)
+    widths = buf[offs].astype(np.int64)
+    ov = out[: offs.size * BLOCK_SIZE].reshape(offs.size, BLOCK_SIZE)
     for w in np.unique(widths):
         w = int(w)
         sel = np.flatnonzero(widths == w)
@@ -593,88 +505,26 @@ def _unpack_for_stream(buf: np.ndarray, n_blocks: int, out: np.ndarray,
         nbytes = _frame_nbytes(w)
         take = (offs[sel][:, None] + 1 + np.arange(nbytes)).ravel()
         ov[sel] = _planes_to_vals(buf[take], len(sel), w)
-    return off
-
-
-def _for_deltas_freqs(doc_bytes: bytes, freq_bytes: bytes, n: int,
-                      want_freqs: bool,
-                      block_doc_off: np.ndarray | None = None,
-                      block_freq_off: np.ndarray | None = None,
-                      want_deltas: bool = True,
-                      ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Full-stream FOR decode → (deltas-or-None, freqs-or-None)."""
-    db = np.frombuffer(doc_bytes, dtype=np.uint8)
-    n_full_blocks = n // BLOCK_SIZE
-    tail = n - n_full_blocks * BLOCK_SIZE
-    deltas = np.empty(n, dtype=np.uint64) if want_deltas else None
-    freqs = np.empty(n, dtype=np.uint64) if want_freqs else None
-    od = 0
-    if want_deltas and n_full_blocks:
-        od = _unpack_for_stream(db, n_full_blocks, deltas, block_doc_off)
-    elif tail and n_full_blocks:
-        # only the doc TAIL is needed (parity-folded freqs): jump via offsets
-        if block_doc_off is not None:
-            od = int(block_doc_off[n_full_blocks])
-        else:
-            for _b in range(n_full_blocks):
-                od += 1 + _frame_nbytes(int(db[od]))
-    if want_freqs and n_full_blocks:
-        fb = np.frombuffer(freq_bytes, dtype=np.uint8)
-        _unpack_for_stream(fb, n_full_blocks, freqs, block_freq_off)
-    if tail:
-        td, tf = _decode_tail_parity(db[od:], tail)
-        if want_deltas:
-            deltas[n - tail :] = td
-        if want_freqs:
-            freqs[n - tail :] = tf
-    return deltas, freqs
-
-
-def decode_docs(doc_bytes: bytes, n: int, codec: str = "vint",
-                block_doc_off: np.ndarray | None = None) -> np.ndarray:
-    """Decode the full doc list of a chunk → int64 ascending docIDs."""
-    if codec == "for":
-        deltas, _ = _for_deltas_freqs(doc_bytes, b"", n, want_freqs=False,
-                                      block_doc_off=block_doc_off)
-    elif codec == "simpletext":
-        deltas = _decode_simpletext(np.frombuffer(doc_bytes, dtype=np.uint8), n)
-    else:
-        deltas = read_vints(np.frombuffer(doc_bytes, dtype=np.uint8), n)
-    return np.cumsum(deltas.astype(np.int64))
-
-
-def decode_freqs(freq_bytes: bytes, n: int, codec: str = "vint",
-                 doc_bytes: bytes = b"",
-                 block_doc_off: np.ndarray | None = None,
-                 block_freq_off: np.ndarray | None = None) -> np.ndarray:
-    """``for`` codec needs the doc stream too: tail freqs are parity-folded
-    into it (Lucene41 tail layout)."""
-    if codec == "for":
-        _, freqs = _for_deltas_freqs(doc_bytes, freq_bytes, n, want_freqs=True,
-                                     block_doc_off=block_doc_off,
-                                     block_freq_off=block_freq_off,
-                                     want_deltas=False)
-        return freqs.astype(np.int32)
-    if codec == "simpletext":
-        return _decode_simpletext(
-            np.frombuffer(freq_bytes, dtype=np.uint8), n).astype(np.int32)
-    return read_vints(np.frombuffer(freq_bytes, dtype=np.uint8), n).astype(np.int32)
 
 
 def decode_docs_freqs(doc_bytes: bytes, freq_bytes: bytes, n: int,
-                      codec: str = "vint",
-                      block_doc_off: np.ndarray | None = None,
-                      block_freq_off: np.ndarray | None = None,
+                      block_doc_off: np.ndarray, block_freq_off: np.ndarray,
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """A chunk's docIDs and freqs together: the ``for`` tail carries both
-    (freqs parity-folded into the doc stream), so it is decoded once."""
-    if codec != "for":
-        return (decode_docs(doc_bytes, n, codec=codec),
-                decode_freqs(freq_bytes, n, codec=codec))
-    deltas, freqs = _for_deltas_freqs(doc_bytes, freq_bytes, n,
-                                      want_freqs=True,
-                                      block_doc_off=block_doc_off,
-                                      block_freq_off=block_freq_off)
+    """One chunk's ``n`` docIDs (int64 ascending) and freqs (int32), given
+    its stored block offsets. The tail carries both (freqs parity-folded
+    into the doc stream), so it is decoded once."""
+    db = np.frombuffer(doc_bytes, dtype=np.uint8)
+    n_full = n // BLOCK_SIZE
+    tail = n - n_full * BLOCK_SIZE
+    deltas = np.empty(n, dtype=np.uint64)
+    freqs = np.empty(n, dtype=np.uint64)
+    if n_full:
+        _unpack_for_stream(db, deltas, block_doc_off[:n_full])
+        _unpack_for_stream(np.frombuffer(freq_bytes, dtype=np.uint8), freqs,
+                           block_freq_off[:n_full])
+    if tail:
+        deltas[n_full * BLOCK_SIZE:], freqs[n_full * BLOCK_SIZE:] = \
+            _decode_tail_parity(db[int(block_doc_off[n_full]):], tail)
     return np.cumsum(deltas.astype(np.int64)), freqs.astype(np.int32)
 
 
@@ -699,7 +549,6 @@ def decode_doc_block(
     n_postings: int,
     block_doc_off: np.ndarray,
     block_last_doc: np.ndarray,
-    codec: str = "vint",
 ) -> np.ndarray:
     """Decode one 128-block of docIDs without touching earlier blocks.
 
@@ -710,22 +559,11 @@ def decode_doc_block(
     """
     buf = np.frombuffer(doc_bytes, dtype=np.uint8)
     start = int(block_doc_off[block_idx])
-    end = (
-        int(block_doc_off[block_idx + 1])
-        if block_idx + 1 < len(block_doc_off)
-        else buf.size
-    )
-    lo = block_idx * BLOCK_SIZE
-    count = min(BLOCK_SIZE, n_postings - lo)
-    if codec == "for":
-        if count == BLOCK_SIZE:
-            deltas = _unpack_for_block(buf, start)[0].astype(np.int64)
-        else:  # parity tail
-            deltas = _decode_tail_parity(buf[start:], count)[0].astype(np.int64)
-    elif codec == "simpletext":
-        deltas = _decode_simpletext(buf[start:end], count).astype(np.int64)
-    else:
-        deltas = read_vints(buf[start:end], count).astype(np.int64)
+    count = min(BLOCK_SIZE, n_postings - block_idx * BLOCK_SIZE)
+    if count == BLOCK_SIZE:
+        deltas = _unpack_for_block(buf, start)[0].astype(np.int64)
+    else:  # parity tail
+        deltas = _decode_tail_parity(buf[start:], count)[0].astype(np.int64)
     base = int(block_last_doc[block_idx - 1]) if block_idx > 0 else 0
     return base + np.cumsum(deltas)
 
@@ -737,23 +575,13 @@ def decode_freq_block(
     n_postings: int,
     block_freq_off: np.ndarray,
     block_doc_off: np.ndarray,
-    codec: str = "vint",
 ) -> np.ndarray:
-    """Decode one 128-block of freqs (skip-in). ``for`` tail freqs come from
-    the doc stream's parity fold."""
-    lo = block_idx * BLOCK_SIZE
-    count = min(BLOCK_SIZE, n_postings - lo)
-    if codec == "for":
-        if count == BLOCK_SIZE:
-            fb = np.frombuffer(freq_bytes, dtype=np.uint8)
-            return _unpack_for_block(fb, int(block_freq_off[block_idx]))[0].astype(np.int32)
-        db = np.frombuffer(doc_bytes, dtype=np.uint8)
-        return _decode_tail_parity(
-            db[int(block_doc_off[block_idx]):], count)[1].astype(np.int32)
-    fb = np.frombuffer(freq_bytes, dtype=np.uint8)
-    start = int(block_freq_off[block_idx])
-    end = (int(block_freq_off[block_idx + 1])
-           if block_idx + 1 < len(block_freq_off) else fb.size)
-    if codec == "simpletext":
-        return _decode_simpletext(fb[start:end], count).astype(np.int32)
-    return read_vints(fb[start:end], count).astype(np.int32)
+    """Decode one 128-block of freqs (skip-in). Tail freqs come from the
+    doc stream's parity fold."""
+    count = min(BLOCK_SIZE, n_postings - block_idx * BLOCK_SIZE)
+    if count == BLOCK_SIZE:
+        fb = np.frombuffer(freq_bytes, dtype=np.uint8)
+        return _unpack_for_block(fb, int(block_freq_off[block_idx]))[0].astype(np.int32)
+    db = np.frombuffer(doc_bytes, dtype=np.uint8)
+    return _decode_tail_parity(
+        db[int(block_doc_off[block_idx]):], count)[1].astype(np.int32)

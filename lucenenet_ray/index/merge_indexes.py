@@ -42,18 +42,21 @@ from lucenenet_ray.index.build import (
     term_hpart,
     wire_table,
 )
-from lucenenet_ray.index.codec import _grouped_take, decode_postings
+from lucenenet_ray.index.codec import (
+    _grouped_take,
+    check_manifest,
+    decode_postings,
+)
 from lucenenet_ray.index.deletes import load_deleted_terms
 
 # config fields that must agree across merged sources: they fix the file
-# layout, the postings encoding and the wire-row schema
-_LAYOUT_KEYS = ("n_buckets", "n_hparts", "codec", "store_positions",
-                "payloads")
+# layout and the wire-row schema
+_LAYOUT_KEYS = ("n_buckets", "n_hparts", "store_positions", "payloads")
 # per-doc sidecar directories a merge does not rewrite
 _SIDECARS = ("bloom", "docvalues", "termvectors")
 
 
-def _wire_rows(index_path: str, bucket: int, n_hparts: int, codec: str,
+def _wire_rows(index_path: str, bucket: int, n_hparts: int,
                dead_terms: tuple[str, ...], dead_docs: np.ndarray) -> pa.Table:
     """One source bucket → the Inverter's shuffle-wire rows: one row per
     postings chunk, then the bucket's doc-length sentinel row. Every chunk
@@ -83,7 +86,7 @@ def _wire_rows(index_path: str, bucket: int, n_hparts: int, codec: str,
         doc_data, doc_offs = _binary_parts(post.column("doc_bytes"))
         freq_data, freq_offs = _binary_parts(post.column("freq_bytes"))
         docs, freqs = decode_postings(
-            doc_data, freq_data, doc_offs, freq_offs, dfs, codec,
+            doc_data, freq_data, doc_offs, freq_offs, dfs,
             pc.list_flatten(post.column("block_doc_off")).to_numpy(),
             pc.list_flatten(post.column("block_freq_off")).to_numpy())
         # position/payload runs are self-contained per doc: they move as bytes
@@ -190,6 +193,7 @@ def merge_indexes(sources: list, out_path: str) -> dict:
             raise ValueError(f"cannot merge {p} into itself")
         with open(os.path.join(p, "manifest.json")) as f:
             manifests.append(json.load(f))
+        check_manifest(manifests[-1])
         index_paths.append(p)
         deads.append(dead)
     cfg0 = manifests[0]["config"]
@@ -209,10 +213,9 @@ def merge_indexes(sources: list, out_path: str) -> dict:
         "id_max": max(m["config"]["id_max"] for m in manifests),
         "store_term_vectors": False,
     }
-    codec = cfg0.get("codec", "vint")
     cfg = IndexConfig(index_path=out_path, id_min=config["id_min"],
                       id_max=config["id_max"], n_buckets=cfg0["n_buckets"],
-                      n_hparts=cfg0["n_hparts"], codec=codec,
+                      n_hparts=cfg0["n_hparts"],
                       store_positions=cfg0.get("store_positions", True))
 
     # a rerun into the same out_path starts from empty index directories
@@ -227,7 +230,7 @@ def merge_indexes(sources: list, out_path: str) -> dict:
         dead_docs = dead if isinstance(dead, dict) else {}
         for b in m["buckets"]:
             b = int(b["bucket"])
-            refs.append(wire.remote(p, b, cfg.n_hparts, codec, dead_terms,
+            refs.append(wire.remote(p, b, cfg.n_hparts, dead_terms,
                                     dead_docs.get(b, no_docs)))
     rows = _hash_shuffle_merge_write(refs, cfg, cfg.store_positions)
     return finish_index(

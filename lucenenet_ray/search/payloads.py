@@ -6,7 +6,7 @@ scorer additionally folds a PayloadFunction over each match's payload),
 ``MaxPayloadFunction.cs``; tests ``Search/Payloads/TestPayloadTermQuery.cs``.
 Payloads here are per-position integers written by the index when
 ``IndexConfig.payloads`` is set (offset payloads — the
-TokenOffsetPayloadTokenFilter analog; see build.py / codec notes).
+TokenOffsetPayloadTokenFilter analog; see ``IndexConfig.payloads``).
 
 Aggregation is fully vectorized: a chunk's payload stream decodes to a flat
 array + per-doc offsets, and per-doc min/max/sum reduce with

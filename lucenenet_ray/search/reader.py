@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import pyarrow as pa
@@ -24,7 +23,11 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from lucenenet_ray.index.build import postings_file_name, term_hpart
-from lucenenet_ray.index.codec import decode_docs_freqs
+from lucenenet_ray.index.codec import (
+    check_manifest,
+    decode_docs_freqs,
+    read_vints,
+)
 
 
 def _open_parquet(path: str) -> pq.ParquetFile:
@@ -139,12 +142,10 @@ class PostingsChunk:
     block_freq_off: np.ndarray
     block_max_freq: np.ndarray
     block_max_norm: np.ndarray
-    codec: str = "vint"
+    # level-1 skip last-docs (MultiLevelSkipListWriter fan-out, one per
+    # SKIP1_FANOUT level-0 blocks); empty below df = 128²
+    skip1_last_doc: np.ndarray
     pay_bytes: bytes = b""  # per-position payloads (IndexConfig.payloads)
-    # level-1 skip entries (MultiLevelSkipListWriter fan-out; codec.py
-    # build_skip1) — stored for head terms (df > 128²), derived lazily for
-    # indexes written before the column existed
-    skip1_last_doc: np.ndarray | None = None
     _docs: np.ndarray | None = None
     _freqs: np.ndarray | None = None
     _pos_flat: np.ndarray | None = None  # absolute positions, doc-major
@@ -152,18 +153,6 @@ class PostingsChunk:
     _local: np.ndarray | None = None  # dense bucket-local row of each doc
 
     _row_of: np.ndarray | None = None
-
-    def skip1(self) -> np.ndarray:
-        """Level-1 skip last-docs (one per SKIP1_FANOUT level-0 blocks);
-        empty for small terms. Derived from level-0 when the index predates
-        the stored column."""
-        if self.skip1_last_doc is None:
-            from lucenenet_ray.index.codec import build_skip1
-
-            self.skip1_last_doc = build_skip1(
-                self.block_last_doc, self.block_max_freq,
-                self.block_max_norm)[0]
-        return self.skip1_last_doc
 
     def local_ids(self, bucket: "BucketData") -> np.ndarray:
         """Bucket-local dense index of every posting's doc — computed ONCE
@@ -186,9 +175,8 @@ class PostingsChunk:
 
     def _decode(self) -> None:
         self._docs, self._freqs = decode_docs_freqs(
-            self.doc_bytes, self.freq_bytes, self.df, codec=self.codec,
-            block_doc_off=self.block_doc_off,
-            block_freq_off=self.block_freq_off)
+            self.doc_bytes, self.freq_bytes, self.df, self.block_doc_off,
+            self.block_freq_off)
 
     def docs(self) -> np.ndarray:
         if self._docs is None:
@@ -203,8 +191,6 @@ class PostingsChunk:
     def positions_flat(self) -> tuple[np.ndarray, np.ndarray]:
         """(flat absolute positions, per-doc offsets) — cached, vectorized."""
         if self._pos_flat is None:
-            from lucenenet_ray.index.codec import read_vints
-
             freqs = self.freqs().astype(np.int64)
             offs = np.concatenate(([0], np.cumsum(freqs)))
             deltas = read_vints(
@@ -228,8 +214,6 @@ class PostingsChunk:
         VInt delta runs parallel to positions (one value per position; see
         IndexConfig.payloads), decoded with the same segmented cumsum."""
         if self._pay_flat is None:
-            from lucenenet_ray.index.codec import read_vints
-
             if not self.pay_bytes:
                 raise ValueError(
                     f"term {self.term!r}: index has no payload stream")
@@ -250,8 +234,8 @@ class BucketData:
     """All loaded state for one doc-range bucket."""
 
     def __init__(self, bucket_id: int, norms_path: str, postings_glob: str,
-                 codec: str = "vint", docvalues_path: str | None = None,
-                 bloom_path: str | None = None, n_hparts: int | None = None):
+                 n_hparts: int, docvalues_path: str | None = None,
+                 bloom_path: str | None = None):
         import glob as _glob
 
         self.bucket_id = bucket_id
@@ -259,21 +243,15 @@ class BucketData:
         self.docvalues_path = docvalues_path
         self.bloom_path = bloom_path
         self._bloom_cached: object = False  # False = not loaded yet
-        self.codec = codec
-        self.postings_files = sorted(_glob.glob(postings_glob))
-        # a term's chunk lives in its hpart's file only; files named without
-        # an hpart (indexes written before per-hpart merges) may hold any term
+        # a term's chunk lives in its hpart's file only
         self.n_hparts = n_hparts
         by_name = {postings_file_name(bucket_id, h): h
-                   for h in range(n_hparts or 0)}
-        self._hpart_file: dict[int, str] = {}
-        self._any_term_files: list[str] = []
-        for f in self.postings_files:
-            h = by_name.get(os.path.basename(f))
-            if h is None:
-                self._any_term_files.append(f)
-            else:
-                self._hpart_file[h] = f
+                   for h in range(n_hparts)}
+        self._hpart_file: dict[int, str] = {
+            by_name[os.path.basename(f)]: f
+            for f in _glob.glob(postings_glob)
+            if os.path.basename(f) in by_name}
+        self.postings_files = sorted(self._hpart_file.values())
         self._norms: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._dicts: dict[str, TermDict] = {}
         self._chunk_cache: dict[str, PostingsChunk | None] = {}
@@ -303,19 +281,8 @@ class BucketData:
         (``NumericDocValues`` returns 0 for docs without a value)."""
         dv = self._dv_cache.get(field)
         if dv is None:
-            doc_ids = self.norms()[0]
-            dv = np.zeros(len(doc_ids), dtype=np.int64)
-            if (self.docvalues_path and os.path.exists(self.docvalues_path)
-                    and field in pq.read_schema(self.docvalues_path).names):
-                t = pq.read_table(self.docvalues_path,
-                                  columns=["doc_id", field])
-                ids = t.column("doc_id").to_numpy().astype(np.int64)
-                vals = t.column(field).to_numpy(zero_copy_only=False).astype(np.int64)
-                idx = np.searchsorted(doc_ids, ids)
-                ok = (idx < len(doc_ids))
-                ok[ok] = doc_ids[idx[ok]] == ids[ok]
-                dv[idx[ok]] = vals[ok]
-            self._dv_cache[field] = dv
+            dv = self._dv_cache[field] = self._load_docvalues(
+                field, 0, np.int64)
         return dv
 
     def binary_docvalues(self, field: str) -> np.ndarray:
@@ -330,19 +297,37 @@ class BucketData:
         key = "\x00bin:" + field  # cache namespace apart from numeric
         dv = self._dv_cache.get(key)
         if dv is None:
-            doc_ids = self.norms()[0]
-            dv = np.full(len(doc_ids), b"", dtype=object)
-            if (self.docvalues_path and os.path.exists(self.docvalues_path)
-                    and field in pq.read_schema(self.docvalues_path).names):
-                t = pq.read_table(self.docvalues_path,
-                                  columns=["doc_id", field])
-                ids = t.column("doc_id").to_numpy().astype(np.int64)
-                vals = np.asarray(t.column(field).to_pylist(), dtype=object)
-                idx = np.searchsorted(doc_ids, ids)
-                ok = (idx < len(doc_ids))
-                ok[ok] = doc_ids[idx[ok]] == ids[ok]
-                dv[idx[ok]] = vals[ok]
-            self._dv_cache[key] = dv
+            dv = self._dv_cache[key] = self._load_docvalues(
+                field, b"", object)
+        return dv
+
+    def _load_docvalues(self, field: str, missing, dtype) -> np.ndarray:
+        """One docvalues column read from the bucket's docvalues file and
+        aligned to norms() doc order; docs without a value, or a field the
+        file lacks, read ``missing``."""
+        doc_ids = self.norms()[0]
+        dv = np.full(len(doc_ids), missing, dtype=dtype)
+        if not (self.docvalues_path and os.path.exists(self.docvalues_path)):
+            return dv
+        pf = _open_parquet(self.docvalues_path)
+        try:
+            md = pf.metadata
+            # the field's column, found as TermDict finds ``term``: not
+            # through pq.read_schema or md.schema, whose ParquetSchema
+            # objects leak native memory
+            rg = md.row_group(0) if md.num_row_groups else None
+            if rg is None or field not in [rg.column(c).path_in_schema
+                                           for c in range(rg.num_columns)]:
+                return dv
+            t = pf.read(columns=["doc_id", field], use_threads=False)
+        finally:
+            pf.close()
+        ids = t.column("doc_id").to_numpy().astype(np.int64)
+        vals = t.column(field).to_numpy(zero_copy_only=False).astype(dtype)
+        idx = np.searchsorted(doc_ids, ids)
+        ok = (idx < len(doc_ids))
+        ok[ok] = doc_ids[idx[ok]] == ids[ok]
+        dv[idx[ok]] = vals[ok]
         return dv
 
     def norm_of_docs(self, docs: np.ndarray) -> np.ndarray:
@@ -364,9 +349,7 @@ class BucketData:
         return v.to_numpy(zero_copy_only=False).astype(dtype, copy=False)
 
     def _row_to_chunk(self, t: pa.Table, i: int) -> PostingsChunk:
-        has_skip1 = "skip1_last_doc" in t.column_names
         return PostingsChunk(
-            codec=self.codec,
             term=t.column("term")[i].as_py(),
             df=t.column("df")[i].as_py(),
             ttf=t.column("ttf")[i].as_py(),
@@ -382,8 +365,7 @@ class BucketData:
             block_freq_off=self._list_np(t, "block_freq_off", i, np.int64),
             block_max_freq=self._list_np(t, "block_max_freq", i, np.int32),
             block_max_norm=self._list_np(t, "block_max_norm", i, np.int32),
-            skip1_last_doc=(self._list_np(t, "skip1_last_doc", i, np.int64)
-                            if has_skip1 else None),
+            skip1_last_doc=self._list_np(t, "skip1_last_doc", i, np.int64),
         )
 
     def _dict(self, path: str) -> TermDict:
@@ -464,12 +446,11 @@ class BucketData:
                     missing = [m for m, is_neg in zip(missing, neg)
                                if not is_neg]
         if missing:
-            files = {f: missing for f in self._any_term_files}
-            if self._hpart_file:
-                for m in missing:
-                    f = self._hpart_file.get(term_hpart(m, self.n_hparts))
-                    if f is not None:
-                        files.setdefault(f, []).append(m)
+            files: dict[str, list[str]] = {}
+            for m in missing:
+                f = self._hpart_file.get(term_hpart(m, self.n_hparts))
+                if f is not None:
+                    files.setdefault(f, []).append(m)
             for f, ts in files.items():
                 for term, (t, i) in self._dict(f).find(ts).items():
                     self._chunk_cache[term] = self._row_to_chunk(t, i)
@@ -491,6 +472,7 @@ class IndexReader:
         self.index_path = index_path
         with open(os.path.join(index_path, "manifest.json")) as f:
             self.manifest = json.load(f)
+        check_manifest(self.manifest)
         self.num_docs: int = self.manifest["n_docs"]
         self.sum_total_term_freq: int = self.manifest["sum_total_term_freq"]
         self._buckets: dict[int, BucketData] = {}
@@ -564,7 +546,6 @@ class IndexReader:
         t = read_term_vector(self.index_path, doc_id)
         if t is None:
             return None
-        import pyarrow as _pa
         import pyarrow.compute as _pc
 
         has_sep = _pc.match_substring(t.column("term"), FIELD_SEP)
@@ -589,12 +570,11 @@ class IndexReader:
                 bucket_id,
                 os.path.join(self.index_path, "norms", f"bucket={bucket_id:05d}.parquet"),
                 os.path.join(self.index_path, "postings", f"bucket={bucket_id:05d}*.parquet"),
-                codec=self.manifest.get("config", {}).get("codec", "vint"),
+                self.manifest["config"]["n_hparts"],
                 docvalues_path=os.path.join(
                     self.index_path, "docvalues", f"bucket={bucket_id:05d}.parquet"),
                 bloom_path=os.path.join(
                     self.index_path, "bloom", f"bucket={bucket_id:05d}.parquet"),
-                n_hparts=self.manifest.get("config", {}).get("n_hparts"),
             )
             self._buckets[bucket_id] = bd
         return bd

@@ -33,8 +33,9 @@ import numpy as np
 
 from lucenenet_ray.index.codec import (
     BLOCK_SIZE,
+    SKIP1_FANOUT,
     decode_doc_block,
-    read_vints,
+    decode_freq_block,
 )
 from lucenenet_ray.search.bm25 import (
     B_DEFAULT,
@@ -798,13 +799,6 @@ def _is_pure_or_terms(q: Query) -> bool:
     )
 
 
-def _decode_freq_block(c: PostingsChunk, bi: int) -> np.ndarray:
-    from lucenenet_ray.index.codec import decode_freq_block
-
-    return decode_freq_block(c.freq_bytes, c.doc_bytes, bi, c.df,
-                             c.block_freq_off, c.block_doc_off, c.codec)
-
-
 # level-0 skip entries examined by _skip_to_blocks since process start —
 # tests assert the level-1 pre-select reduces this for head terms
 SKIP_STATS = {"level0_examined": 0, "level0_total": 0}
@@ -812,14 +806,12 @@ SKIP_STATS = {"level0_examined": 0, "level0_total": 0}
 
 def _skip_to_blocks(c: PostingsChunk, cand_docs: np.ndarray) -> np.ndarray:
     """Target 128-blocks containing any candidate doc — the multi-level skip
-    (MultiLevelSkipListWriter.cs fan-out 128). Head terms (stored/derived
-    level-1 entries, df > 128²) first bound each candidate to a REGION of
+    (MultiLevelSkipListWriter.cs fan-out 128). Head terms (stored level-1
+    entries, df > 128²) first bound each candidate to a REGION of
     SKIP1_FANOUT level-0 blocks, then binary-search only those regions'
     level-0 slices; small terms binary-search level-0 directly."""
-    from lucenenet_ray.index.codec import SKIP1_FANOUT
-
     nb = len(c.block_last_doc)
-    s1 = c.skip1()
+    s1 = c.skip1_last_doc
     if s1.size == 0:
         SKIP_STATS["level0_examined"] += nb
         SKIP_STATS["level0_total"] += nb
@@ -879,14 +871,15 @@ def _eval_term_restricted(term: str, boost: float, matched: np.ndarray,
     out_f: list[np.ndarray] = []
     for bi in blocks:
         bd = decode_doc_block(c.doc_bytes, int(bi), c.df, c.block_doc_off,
-                              c.block_last_doc, codec=c.codec)
+                              c.block_last_doc)
         idx = np.searchsorted(bd, cand_docs)
         valid = idx < bd.size
         vi = idx[valid]
         sel = bd[vi] == cand_docs[valid]
         if not sel.any():
             continue
-        bf = _decode_freq_block(c, int(bi))
+        bf = decode_freq_block(c.freq_bytes, c.doc_bytes, int(bi), c.df,
+                               c.block_freq_off, c.block_doc_off)
         out_d.append(bd[vi[sel]])
         out_f.append(bf[vi[sel]])
     if not out_d:

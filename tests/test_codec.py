@@ -7,14 +7,19 @@ import pytest
 from lucenenet_ray.index.codec import (
     BLOCK_SIZE,
     decode_doc_block,
-    decode_docs,
-    decode_freqs,
+    decode_docs_freqs,
     decode_positions,
     decode_postings,
     encode_postings,
     read_vints,
     write_vints,
 )
+
+
+def _decode(enc, df):
+    """A one-term encode's (docs, freqs), through its stored block offsets."""
+    return decode_docs_freqs(enc["doc_bytes"], enc["freq_bytes"], df,
+                             enc["block_doc_off"], enc["block_freq_off"])
 
 
 def test_vint_edges():
@@ -46,8 +51,9 @@ def test_roundtrip_structured(df):
         for f in freqs
     ]
     enc = encode_postings(docs, freqs, norms, positions)
-    assert np.array_equal(decode_docs(enc["doc_bytes"], df), docs)
-    assert np.array_equal(decode_freqs(enc["freq_bytes"], df), freqs)
+    got_d, got_f = _decode(enc, df)
+    assert np.array_equal(got_d, docs)
+    assert np.array_equal(got_f, freqs)
     dec_pos = decode_positions(enc["pos_bytes"], freqs)
     for a, b in zip(dec_pos, positions):
         assert np.array_equal(a, b)
@@ -74,8 +80,19 @@ def test_random_fuzz():
         freqs = rng.integers(1, 64, size=df).astype(np.int32)
         norms = rng.integers(0, 256, size=df).astype(np.uint8)
         enc = encode_postings(docs, freqs, norms, None)
-        assert np.array_equal(decode_docs(enc["doc_bytes"], df), docs)
-        assert np.array_equal(decode_freqs(enc["freq_bytes"], df), freqs)
+        got_d, got_f = _decode(enc, df)
+        assert np.array_equal(got_d, docs)
+        assert np.array_equal(got_f, freqs)
+
+
+def test_empty_run():
+    enc = encode_postings(np.empty(0, dtype=np.int64),
+                          np.empty(0, dtype=np.int32),
+                          np.empty(0, dtype=np.uint8), None)
+    assert enc["doc_bytes"] == b"" and enc["freq_bytes"] == b""
+    assert len(enc["block_last_doc"]) == 0
+    got_d, got_f = _decode(enc, 0)
+    assert got_d.size == 0 and got_f.size == 0
 
 
 def test_bucket_of_no_overflow():
@@ -115,70 +132,56 @@ def _mk_postings(rng, df, id_space):
 
 @pytest.mark.parametrize("df", [1, 5, 127, 128, 129, 300, 1000])
 def test_for_roundtrip(df):
-    from lucenenet_ray.index.codec import (
-        decode_docs,
-        decode_freqs,
-        encode_postings,
-    )
-
     rng = np.random.default_rng(df)
     docs, freqs, norms = _mk_postings(rng, df, 100_000)
-    enc = encode_postings(docs, freqs, norms, None, codec="for")
-    got_d = decode_docs(enc["doc_bytes"], df, codec="for")
-    got_f = decode_freqs(enc["freq_bytes"], df, codec="for",
-                         doc_bytes=enc["doc_bytes"])
+    enc = encode_postings(docs, freqs, norms, None)
+    got_d, got_f = _decode(enc, df)
     assert np.array_equal(got_d, docs)
     assert np.array_equal(got_f, freqs)
-    # block metadata identical semantics to the vint codec
-    encv = encode_postings(docs, freqs, norms, None, codec="vint")
-    for k in ("block_last_doc", "block_max_freq", "block_max_norm"):
-        assert np.array_equal(enc[k], encv[k]), k
 
 
 @pytest.mark.parametrize("df", [129, 300, 1000])
 def test_for_block_skip_decode(df):
-    from lucenenet_ray.index.codec import (
-        BLOCK_SIZE,
-        decode_doc_block,
-        decode_freq_block,
-        encode_postings,
-    )
+    from lucenenet_ray.index.codec import decode_freq_block
 
     rng = np.random.default_rng(df + 7)
     docs, freqs, norms = _mk_postings(rng, df, 10_000_000)
-    enc = encode_postings(docs, freqs, norms, None, codec="for")
+    enc = encode_postings(docs, freqs, norms, None)
     nblocks = (df + BLOCK_SIZE - 1) // BLOCK_SIZE
     for bi in range(nblocks):
         lo, hi = bi * BLOCK_SIZE, min((bi + 1) * BLOCK_SIZE, df)
         bd = decode_doc_block(enc["doc_bytes"], bi, df,
-                              enc["block_doc_off"], enc["block_last_doc"],
-                              codec="for")
+                              enc["block_doc_off"], enc["block_last_doc"])
         bf = decode_freq_block(enc["freq_bytes"], enc["doc_bytes"], bi, df,
-                               enc["block_freq_off"], enc["block_doc_off"],
-                               codec="for")
+                               enc["block_freq_off"], enc["block_doc_off"])
         assert np.array_equal(bd, docs[lo:hi]), bi
         assert np.array_equal(bf, freqs[lo:hi]), bi
 
 
-def test_for_smaller_than_vint_dense():
-    """Dense postings (small deltas) must pack tighter than VInt."""
-    from lucenenet_ray.index.codec import encode_postings
+def _build_skip1(block_last_doc, block_max_freq, block_max_norm):
+    """Reference: one term's level-1 entries, one region of SKIP1_FANOUT
+    level-0 blocks at a time; none below 2 regions."""
+    from lucenenet_ray.index.codec import SKIP1_FANOUT
 
-    df = 4096
-    docs = np.arange(0, df * 3, 3, dtype=np.int64)  # delta 3 → 2 bits
-    freqs = np.ones(df, dtype=np.int32)
-    norms = np.zeros(df, dtype=np.uint8)
-    f = encode_postings(docs, freqs, norms, None, codec="for")
-    v = encode_postings(docs, freqs, norms, None, codec="vint")
-    assert len(f["doc_bytes"]) < len(v["doc_bytes"]) / 2
+    nb = len(block_last_doc)
+    if nb < 2 * SKIP1_FANOUT:
+        return (np.empty(0, np.int64), np.empty(0, np.int32),
+                np.empty(0, np.int32))
+    starts = range(0, nb, SKIP1_FANOUT)
+    return (
+        np.array([block_last_doc[min(s + SKIP1_FANOUT, nb) - 1]
+                  for s in starts], dtype=np.int64),
+        np.array([block_max_freq[s:s + SKIP1_FANOUT].max() for s in starts],
+                 dtype=np.int32),
+        np.array([block_max_norm[s:s + SKIP1_FANOUT].max() for s in starts],
+                 dtype=np.int32))
 
 
-@pytest.mark.parametrize("codec", ["vint", "for"])
-def test_skip1_level_entries(codec):
+def test_skip1_level_entries():
     """Level-1 skip entries (MultiLevelSkipListWriter fan-out 128): present
     exactly when df > 128*128 (2+ regions), aggregates equal recomputation
     from level-0, and the two-level block lookup equals the flat one."""
-    from lucenenet_ray.index.codec import SKIP1_FANOUT, build_skip1
+    from lucenenet_ray.index.codec import SKIP1_FANOUT
 
     rng = np.random.default_rng(5)
     # head term: df spanning > 2 regions, gappy docids
@@ -186,12 +189,12 @@ def test_skip1_level_entries(codec):
     docs = np.cumsum(rng.integers(1, 4, size=df)).astype(np.int64)
     freqs = rng.integers(1, 9, size=df).astype(np.int32)
     norms = rng.integers(1, 255, size=df).astype(np.uint8)
-    enc = encode_postings(docs, freqs, norms, None, codec=codec)
+    enc = encode_postings(docs, freqs, norms, None)
     nb = len(enc["block_last_doc"])
     n1 = (nb + SKIP1_FANOUT - 1) // SKIP1_FANOUT
     assert len(enc["skip1_last_doc"]) == n1
     # aggregates match a recomputation from level-0
-    want_last, want_maxf, want_maxn = build_skip1(
+    want_last, want_maxf, want_maxn = _build_skip1(
         enc["block_last_doc"], enc["block_max_freq"], enc["block_max_norm"])
     assert np.array_equal(enc["skip1_last_doc"], want_last)
     assert np.array_equal(enc["skip1_max_freq"], want_maxf)
@@ -199,7 +202,7 @@ def test_skip1_level_entries(codec):
     assert enc["skip1_last_doc"][-1] == docs[-1]
     # small term: no level-1
     enc_small = encode_postings(docs[:BLOCK_SIZE * 4], freqs[:BLOCK_SIZE * 4],
-                                norms[:BLOCK_SIZE * 4], None, codec=codec)
+                                norms[:BLOCK_SIZE * 4], None)
     assert len(enc_small["skip1_last_doc"]) == 0
 
 
@@ -215,13 +218,13 @@ def test_skip_to_blocks_two_level_equals_flat():
     docs = np.cumsum(rng.integers(1, 3, size=df)).astype(np.int64)
     freqs = np.ones(df, dtype=np.int32)
     norms = np.ones(df, dtype=np.uint8)
-    enc = encode_postings(docs, freqs, norms, None, codec="for")
+    enc = encode_postings(docs, freqs, norms, None)
 
     def mk(skip1):
         return PostingsChunk(
             term="t", df=df, ttf=df, max_freq=1, max_norm=1,
             doc_bytes=enc["doc_bytes"], freq_bytes=enc["freq_bytes"],
-            pos_bytes=b"", codec="for",
+            pos_bytes=b"",
             block_last_doc=enc["block_last_doc"],
             block_doc_off=enc["block_doc_off"],
             block_freq_off=enc["block_freq_off"],
@@ -245,10 +248,6 @@ def test_skip_to_blocks_two_level_equals_flat():
     # measured decode-skip reduction: clustered candidates touch few regions
     assert examined <= 3 * SKIP1_FANOUT
     assert examined < total / 10
-    # derive path (index without the stored column) agrees too
-    derived = mk(None)
-    got2 = _skip_to_blocks(derived, cands)
-    assert np.array_equal(np.asarray(got2), want)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +273,7 @@ def _term_slice(enc, t):
     return out
 
 
-@pytest.mark.parametrize("codec", ["for", "vint", "simpletext"])
-def test_run_encode_equals_one_term_encodes(codec):
+def test_run_encode_equals_one_term_encodes():
     """Term by term, one call over a run of terms gives exactly what
     one-term calls give: bytes, block and level-1 skip arrays, dtypes; and
     one ``decode_postings`` call gives the run back."""
@@ -290,24 +288,16 @@ def test_run_encode_equals_one_term_encodes(codec):
     enc = encode_postings(np.concatenate([t[0] for t in terms]),
                           np.concatenate([t[1] for t in terms]),
                           np.concatenate([t[2] for t in terms]),
-                          None, codec=codec, dfs=dfs)
+                          None, dfs=dfs)
     assert len(enc["doc_offs"]) == len(dfs) + 1
     # the run decoder inverts the run encoder in one call
     got_docs, got_freqs = decode_postings(
         enc["doc_bytes"], enc["freq_bytes"], enc["doc_offs"],
-        enc["freq_offs"], dfs, codec, enc["block_doc_off"],
-        enc["block_freq_off"])
+        enc["freq_offs"], dfs, enc["block_doc_off"], enc["block_freq_off"])
     assert np.array_equal(got_docs, np.concatenate([t[0] for t in terms]))
     assert np.array_equal(got_freqs, np.concatenate([t[1] for t in terms]))
-    if codec != "for":
-        # a term boundary off a value boundary is a corrupt stream
-        bad = enc["doc_offs"].copy()
-        bad[3] += 1
-        with pytest.raises(ValueError, match="term boundaries"):
-            decode_postings(enc["doc_bytes"], enc["freq_bytes"], bad,
-                            enc["freq_offs"], dfs, codec)
     for t, (docs, freqs, norms) in enumerate(terms):
-        one = encode_postings(docs, freqs, norms, None, codec=codec)
+        one = encode_postings(docs, freqs, norms, None)
         got = _term_slice(enc, t)
         for k, want in got.items():
             if isinstance(want, bytes):
@@ -316,14 +306,9 @@ def test_run_encode_equals_one_term_encodes(codec):
                 assert one[k].dtype == want.dtype, (t, k)
                 assert np.array_equal(one[k], want), (t, k)
         df = len(docs)
-        assert np.array_equal(
-            decode_docs(got["doc_bytes"], df, codec=codec,
-                        block_doc_off=got["block_doc_off"]), docs)
-        assert np.array_equal(
-            decode_freqs(got["freq_bytes"], df, codec=codec,
-                         doc_bytes=got["doc_bytes"],
-                         block_doc_off=got["block_doc_off"],
-                         block_freq_off=got["block_freq_off"]), freqs)
+        got_d, got_f = _decode(got, df)
+        assert np.array_equal(got_d, docs)
+        assert np.array_equal(got_f, freqs)
         assert len(got["skip1_last_doc"]) == (
             (len(got["block_last_doc"]) + 127) // 128 if df > BLOCK_SIZE * 255
             else 0)
@@ -373,7 +358,7 @@ def test_tail_parity_decode_matches_loop_reference():
         df = int(rng.integers(BLOCK_SIZE, BLOCK_SIZE * 3))
         docs, freqs, norms = _mk_postings(rng, df, 10**int(rng.integers(4, 13)))
         freqs[rng.random(df) < 0.1] = 0
-        enc = encode_postings(docs, freqs, norms, None, codec="for")
+        enc = encode_postings(docs, freqs, norms, None)
         tail_off = int(enc["block_doc_off"][-1])
         tail = np.frombuffer(enc["doc_bytes"], dtype=np.uint8)[tail_off:]
         count = df % BLOCK_SIZE
@@ -415,14 +400,13 @@ def test_query_decodes_each_tail_only_chunk_once(documents_index, monkeypatch):
     chunks = [reader.bucket(b).chunks_for_terms(["spark"]).get("spark")
               for b in reader.bucket_ids]
     chunks = [c for c in chunks if c is not None]
-    assert chunks and all(c.codec == "for" and c.df < BLOCK_SIZE
-                          for c in chunks)
+    assert chunks and all(c.df < BLOCK_SIZE for c in chunks)
     assert not calls
     assert search(reader, parse_query("spark"), k=10).total_hits == sum(
         c.df for c in chunks)
     assert sorted(calls) == sorted(c.df for c in chunks)
     for c in chunks:
-        assert np.array_equal(c.docs(), decode_docs(
-            c.doc_bytes, c.df, codec="for"))
-        assert np.array_equal(c.freqs(), decode_freqs(
-            c.freq_bytes, c.df, codec="for", doc_bytes=c.doc_bytes))
+        got_d, got_f = decode_docs_freqs(c.doc_bytes, c.freq_bytes, c.df,
+                                         c.block_doc_off, c.block_freq_off)
+        assert np.array_equal(c.docs(), got_d)
+        assert np.array_equal(c.freqs(), got_f)

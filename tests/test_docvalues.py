@@ -251,3 +251,34 @@ def test_expression_sort_matches_manual(dv_index, corpus):
     expect = sorted(manual.items(), key=lambda x: (-x[1], x[0]))[:12]
     got = expression_sort(r, q, "_score + sqrt(n_chars) / 100", k=12)
     assert [(d, float(v)) for d, v in expect] == got
+
+
+def test_docvalues_load_without_read_schema(tmp_path, monkeypatch):
+    """Numeric and binary doc values load with ``pq.read_schema`` unusable
+    (each call leaks native memory in pyarrow 16.1); docs without a value
+    and a field the docvalues file lacks read 0 / b""."""
+    import pyarrow as pa
+
+    from lucenenet_ray.search.reader import BucketData
+
+    norms = str(tmp_path / "norms.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array([3, 5, 9], type=pa.int64()),
+        "doc_len": pa.array([1, 1, 1], type=pa.int32()),
+        "norm": pa.array([1, 1, 1], type=pa.int32())}), norms)
+    dv = str(tmp_path / "docvalues.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array([5, 9, 11], type=pa.int64()),
+        "n": pa.array([50, 90, 110], type=pa.int64()),
+        "head": pa.array([b"five", b"nine", b"x"], type=pa.binary())}), dv)
+
+    def no_schema(*_a, **_kw):
+        raise AssertionError("pq.read_schema called")
+
+    monkeypatch.setattr(pq, "read_schema", no_schema)
+    bd = BucketData(0, norms, str(tmp_path / "no-postings*.parquet"), 1,
+                    docvalues_path=dv)
+    assert bd.docvalues("n").tolist() == [0, 50, 90]
+    assert bd.binary_docvalues("head").tolist() == [b"", b"five", b"nine"]
+    assert bd.docvalues("absent").tolist() == [0, 0, 0]
+    assert bd.binary_docvalues("absent").tolist() == [b"", b"", b""]

@@ -160,7 +160,7 @@ def test_parse_query_end_to_end(reader):
 def test_index_invariants(documents_index, corpus):
     path, manifest = documents_index
     _docs, _texts, toks = corpus
-    from lucenenet_ray.index.codec import decode_docs, decode_freqs, decode_positions
+    from lucenenet_ray.index.codec import decode_docs_freqs, decode_positions
 
     total_terms_df = {}
     n_docs_seen = 0
@@ -169,13 +169,13 @@ def test_index_invariants(documents_index, corpus):
         terms = t.column("term").to_pylist()
         assert terms == sorted(terms), "term dict must be sorted"
         assert len(set(terms)) == len(terms), "terms must be unique per bucket"
-        codec = manifest["config"].get("codec", "vint")
         for i in range(t.num_rows):
             df = t.column("df")[i].as_py()
-            db = t.column("doc_bytes")[i].as_py()
-            docs = decode_docs(db, df, codec=codec)
-            freqs = decode_freqs(t.column("freq_bytes")[i].as_py(), df,
-                                 codec=codec, doc_bytes=db)
+            docs, freqs = decode_docs_freqs(
+                t.column("doc_bytes")[i].as_py(),
+                t.column("freq_bytes")[i].as_py(), df,
+                t.column("block_doc_off")[i].values.to_numpy(),
+                t.column("block_freq_off")[i].values.to_numpy())
             assert np.all(np.diff(docs) > 0), "doc deltas must be positive"
             assert len(docs) == df == len(freqs)
             assert int(freqs.sum()) == t.column("ttf")[i].as_py()
@@ -393,6 +393,53 @@ def test_check_index_clean_and_detects_corruption(documents_index, tmp_path):
     _pq.write_table(t, f)
     with _pt.raises(CorruptIndexError):
         check_index(bad)
+
+
+def test_check_index_detects_bad_block_offsets(ray_session, tmp_path):
+    """A bad ``block_doc_off`` entry of a multi-block term (moved by a
+    byte, pointing past the doc stream, or missing) is a CorruptIndexError,
+    not an IndexError out of the decoder."""
+    import shutil
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from lucenenet_ray.index.build import IndexConfig, build_index
+    from lucenenet_ray.index.check import CorruptIndexError, check_index
+
+    ids = list(range(300))
+    good = str(tmp_path / "good")
+    build_index(rd.from_arrow(pa.table({
+        "doc_id": pa.array(ids, type=pa.int64()),
+        "text": [f"spark window t{i % 4}" for i in ids]})),
+        IndexConfig(index_path=good, id_min=0, id_max=299, n_buckets=1,
+                    n_hparts=1))
+    assert check_index(good)["status"] == "clean"
+    f = os.path.join("postings", "bucket=00000_h00.parquet")
+    t = pq.read_table(os.path.join(good, f))
+    i = t.column("term").to_pylist().index("spark")
+    stream_len = len(t.column("doc_bytes")[i].as_py())
+
+    def shift(o):
+        o[1] += 1
+
+    def past_end(o):
+        o[1] = stream_len + 1000
+
+    def drop(o):
+        o.pop()
+
+    for corrupt in (shift, past_end, drop):
+        offs = t.column("block_doc_off").to_pylist()
+        assert len(offs[i]) == 3
+        corrupt(offs[i])
+        bad = str(tmp_path / corrupt.__name__)
+        shutil.copytree(good, bad)
+        pq.write_table(t.set_column(
+            t.schema.get_field_index("block_doc_off"), "block_doc_off",
+            pa.array(offs, type=pa.list_(pa.int64()))), os.path.join(bad, f))
+        with pytest.raises(CorruptIndexError):
+            check_index(bad)
 
 
 def test_highlighter():

@@ -126,8 +126,7 @@ def test_merged_bytes_equal_direct_build(ray_session, tmp_path):
     assert m["sum_total_term_freq"] == d["sum_total_term_freq"]
 
 
-@pytest.mark.parametrize("key,value", [("n_buckets", 2), ("codec", "vint"),
-                                       ("n_hparts", 4),
+@pytest.mark.parametrize("key,value", [("n_buckets", 2), ("n_hparts", 4),
                                        ("store_positions", False)])
 def test_merge_rejects_mismatched_layouts(ray_session, tmp_path, key, value):
     import pyarrow as pa
@@ -146,6 +145,42 @@ def test_merge_rejects_mismatched_layouts(ray_session, tmp_path, key, value):
     out = str(tmp_path / "out")
     with pytest.raises(ValueError, match=key):
         merge_indexes([a, b], out)
+    assert not os.path.exists(os.path.join(out, "postings"))
+
+
+@pytest.mark.parametrize("key,value", [("codec", "vint"), ("codec", None),
+                                       ("n_hparts", None)])
+def test_manifest_of_another_layout_is_rejected(ray_session, tmp_path, key,
+                                                value):
+    """An index whose manifest names another postings layout (or none, the
+    v0 default), or no hpart count, is refused by every reader of the
+    format: merge_indexes, IndexReader and check_index."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from lucenenet_ray.index.check import check_index
+    from lucenenet_ray.index.merge_indexes import merge_indexes
+    from lucenenet_ray.search.reader import IndexReader
+
+    ids = list(range(20))
+    a = _build(rd.from_arrow(pa.table({
+        "doc_id": pa.array(ids, type=pa.int64()),
+        "text": [f"spark window merge {i}" for i in ids]})),
+        str(tmp_path / "a"), n_hparts=2)
+    mpath = os.path.join(a, "manifest.json")
+    with open(mpath) as f:
+        m = json.load(f)
+    if value is None:
+        del m["config"][key]
+    else:
+        m["config"][key] = value
+    with open(mpath, "w") as f:
+        json.dump(m, f)
+    out = str(tmp_path / "out")
+    for read in (lambda: merge_indexes([a], out), lambda: IndexReader(a),
+                 lambda: check_index(a)):
+        with pytest.raises(ValueError, match=f"config.{key}"):
+            read()
     assert not os.path.exists(os.path.join(out, "postings"))
 
 

@@ -1,9 +1,9 @@
 """Per-(bucket, hpart) postings files: a term's lookup opens only its own
-hpart's file in each bucket; files named without an hpart (indexes written
-before per-hpart merges) are read for every term."""
+hpart's file in each bucket. The one on-disk postings format is pinned:
+its parquet schema and the manifest keys that name it."""
 
+import json
 import os
-import shutil
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -80,26 +80,62 @@ def test_pushdown_lookups_equal_full_load(hpart_index):
     _assert_pushdown_equals_full(hpart_index)
 
 
-def test_files_without_hpart_are_read_for_every_term(hpart_index, tmp_path):
-    """One legacy ``bucket=NNNNN.parquet`` file per bucket (the layout of
-    indexes merged before per-hpart merges) answers every term."""
-    legacy = str(tmp_path / "legacy")
-    shutil.copytree(hpart_index, legacy)
-    pdir = os.path.join(legacy, "postings")
-    for b in range(4):
-        files = sorted(f for f in os.listdir(pdir)
-                       if f.startswith(f"bucket={b:05d}_h"))
-        t = pa.concat_tables([pq.read_table(os.path.join(pdir, f))
-                              for f in files])
-        for f in files:
-            os.remove(os.path.join(pdir, f))
-        pq.write_table(t.sort_by("term"),
-                       os.path.join(pdir, f"bucket={b:05d}.parquet"))
-    _assert_pushdown_equals_full(legacy)
+# the postings parquet schema every writer produces: (column, Arrow type)
+POSTINGS_SCHEMA = [
+    ("bucket", "int32"), ("term", "string"), ("df", "int64"),
+    ("ttf", "int64"), ("max_freq", "int32"), ("max_norm", "int32"),
+    ("doc_bytes", "large_binary"), ("freq_bytes", "large_binary"),
+    ("pos_bytes", "large_binary"),
+    ("block_last_doc", "list<element: int64>"),
+    ("block_doc_off", "list<element: int64>"),
+    ("block_freq_off", "list<element: int64>"),
+    ("block_max_freq", "list<element: int32>"),
+    ("block_max_norm", "list<element: int32>"),
+    ("skip1_last_doc", "list<element: int64>"),
+    ("skip1_max_freq", "list<element: int32>"),
+    ("skip1_max_norm", "list<element: int32>"),
+]
 
 
-@pytest.mark.parametrize("codec", ["for", "vint", "simpletext"])
-def test_merge_group_encodes_the_group_in_one_call(codec, monkeypatch):
+def _postings_schemas(path):
+    pdir = os.path.join(path, "postings")
+    return {tuple((f.name, str(f.type))
+                  for f in pq.read_schema(os.path.join(pdir, name)))
+            for name in os.listdir(pdir)}
+
+
+def _format_keys(path):
+    with open(os.path.join(path, "manifest.json")) as f:
+        m = json.load(f)
+    return m["config"]["codec"], m["format_version"], m["config"]["n_hparts"]
+
+
+def test_postings_format_is_pinned(hpart_index, tmp_path):
+    """An unintended change to the on-disk format fails here: every
+    postings file's columns and types, with ``pay_bytes`` after
+    ``pos_bytes`` when payloads are on, and the manifest's format keys."""
+    import ray.data as rd
+
+    from lucenenet_ray.index.build import IndexConfig, build_index
+
+    assert _postings_schemas(hpart_index) == {tuple(POSTINGS_SCHEMA)}
+    assert _format_keys(hpart_index) == ("for", 1, 4)
+
+    ids = list(range(40))
+    path = str(tmp_path / "payloads")
+    build_index(rd.from_arrow(pa.table({
+        "doc_id": pa.array(ids, type=pa.int64()),
+        "text": [f"spark window merge t{i % 4}" for i in ids]})),
+        IndexConfig(index_path=path, id_min=0, id_max=39, n_buckets=2,
+                    n_hparts=2, payloads="offset"))
+    at = POSTINGS_SCHEMA.index(("pos_bytes", "large_binary")) + 1
+    with_pay = (POSTINGS_SCHEMA[:at] + [("pay_bytes", "large_binary")]
+                + POSTINGS_SCHEMA[at:])
+    assert _postings_schemas(path) == {tuple(with_pay)}
+    assert _format_keys(path) == ("for", 1, 2)
+
+
+def test_merge_group_encodes_the_group_in_one_call(monkeypatch):
     """A (bucket, hpart) group whose terms are split over shuffled wire rows,
     with positions and payloads, is encoded by ONE ``encode_postings`` call,
     and each output row is that term's one-term encode in doc order, with
@@ -121,8 +157,7 @@ def test_merge_group_encodes_the_group_in_one_call(codec, monkeypatch):
         pay = [write_vints(rng.integers(0, 99, size=f).astype(np.uint64))
                .tobytes() if term else b"" for f in freqs]
         o = np.argsort(docs)
-        want[term] = (encode_postings(docs[o], freqs[o], norms[o], None,
-                                      codec=codec),
+        want[term] = (encode_postings(docs[o], freqs[o], norms[o], None),
                       b"".join(pos[i] for i in o), b"".join(pay[i] for i in o),
                       norms[o].tobytes() if term == "" else b"",
                       (int(freqs.sum()), int(freqs.max()), int(norms.max())))
@@ -148,7 +183,7 @@ def test_merge_group_encodes_the_group_in_one_call(codec, monkeypatch):
         return encode_postings(*a, **kw)
 
     monkeypatch.setattr(build, "encode_postings", counting)
-    out = build._merge_group(group, True, codec)
+    out = build._merge_group(group, True)
     assert len(calls) == 1
     assert out.column("term").to_pylist() == sorted(dfs)
     for i, term in enumerate(out.column("term").to_pylist()):

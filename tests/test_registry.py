@@ -1,6 +1,16 @@
 """Registry hygiene: the driver grades only the FIRST 50 queries() entries,
 so the window must stay fully oracle-backed (rows-only queries belong
-past 50), and every oracle key must have a query."""
+past 50), and every oracle key must have a query. No module or codec
+function is left that only tests call."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _non_test_sources() -> list[Path]:
+    return [*(ROOT / "lucenenet_ray").rglob("*.py"), ROOT / "__ray_entry__.py"]
 
 
 def _entry():
@@ -35,14 +45,10 @@ def test_every_op_module_has_a_non_test_caller():
     """Every ops/ and sources/ module is imported by package code or by
     __ray_entry__.py (not counting itself), so no module is left that only
     tests call. Parsed with ast; imports nothing, needs no Ray."""
-    import ast
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parent.parent
-    pkg = root / "lucenenet_ray"
+    pkg = ROOT / "lucenenet_ray"
     imported: set[str] = set()
-    for path in [*pkg.rglob("*.py"), root / "__ray_entry__.py"]:
-        me = ".".join(path.relative_to(root).with_suffix("").parts)
+    for path in _non_test_sources():
+        me = ".".join(path.relative_to(ROOT).with_suffix("").parts)
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.module:
                 names = [node.module] + [f"{node.module}.{a.name}"
@@ -58,3 +64,25 @@ def test_every_op_module_has_a_non_test_caller():
                if path.stem != "__init__"]
     orphans = [m for m in modules if m not in imported]
     assert orphans == [], orphans
+
+
+def test_every_codec_function_has_a_non_test_caller():
+    """Every public top-level function of ``index/codec.py`` is imported and
+    used by another package module or by __ray_entry__.py, so the one
+    postings format keeps no entry point that only tests call."""
+    codec = ROOT / "lucenenet_ray" / "index" / "codec.py"
+    public = [n.name for n in ast.parse(codec.read_text()).body
+              if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")]
+    used: set[str] = set()
+    for path in _non_test_sources():
+        if path == codec:
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {a.asname or a.name: a.name for n in ast.walk(tree)
+                    if isinstance(n, ast.ImportFrom)
+                    and n.module == "lucenenet_ray.index.codec"
+                    for a in n.names}
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used.update(f for local, f in imported.items() if local in names)
+    orphans = [f for f in public if f not in used]
+    assert public and orphans == [], orphans

@@ -17,13 +17,18 @@ machinery, so a Lucene.NET caller can switch call-for-call:
   (search/multi_reader.py federation over the committed shards)
 
 Delete semantics match the writer contract: a delete applies to every
-document added BEFORE the call — committed shards get a tombstone-log
-generation (resolved at query time, ``index/deletes.py``), and matching
-docs still in the RAM buffer are dropped eagerly (the DWPT
-delete-queue analog), so ``update_document`` = delete + re-add never
-tombstones its own replacement. Visibility is commit-granular (an NRT
-reader without commit is not offered; SearcherManager-on-commits is the
-supported refresh model, index/commits.py).
+document added BEFORE the call. Matching docs still in the RAM buffer are
+dropped eagerly (the DWPT delete-queue analog), so ``update_document`` =
+delete + re-add never tombstones its own replacement. Delete terms for the
+committed shards are buffered in RAM (the ``BufferedUpdates`` analog) and
+flushed as ONE tombstone-log generation per committed shard (resolved at
+query time, ``index/deletes.py``) when the writer commits, opens a reader
+or searcher, or merges. So ``update_document``'s delete and re-add reach
+disk together at commit (unless a reader is opened in between), and a
+writer dropped before commit loses both. Docs are visible from commit on;
+a reader opened from the writer also hides the pending deletes, which it
+flushes first. SearcherManager-on-commits is the supported refresh model
+(index/commits.py).
 """
 
 from __future__ import annotations
@@ -67,20 +72,34 @@ class IndexWriter:
         else:
             self._m = {"next_id": 0, "gen": 0, "shards": []}
         self._buffer: list[dict[str, Any]] = []
+        # per buffered doc: column -> its analyzed term set, filled lazily
+        self._buffer_terms: list[dict[str, set[str]]] = []
+        # delete terms not yet in the committed shards' tombstone logs
+        self._pending_deletes: set[str] = set()
 
     # -- add / update / delete (IndexWriter.cs:1443,1538,1596) -------------
     def add_document(self, doc: dict[str, Any]) -> None:
         if self.max_buffered_docs and len(self._buffer) >= self.max_buffered_docs:
             self.commit()
         self._buffer.append(dict(doc))
+        self._buffer_terms.append({})
 
     def add_documents(self, docs: Iterable[dict[str, Any]]) -> None:
         for d in docs:
             self.add_document(d)
 
-    def _buffered_doc_matches(self, doc: dict[str, Any], term: str) -> bool:
-        from lucenenet_ray.analysis import analyze
+    def _terms_of(self, i: int, col: str, value: Any) -> set[str]:
+        """The analyzed terms of buffered doc ``i``'s column ``col``:
+        ``analyze`` runs at most once per doc and column."""
+        cache = self._buffer_terms[i]
+        if col not in cache:
+            from lucenenet_ray.analysis import analyze
 
+            cache[col] = set(analyze(str(value))[0])
+        return cache[col]
+
+    def _buffered_doc_matches(self, i: int, term: str) -> bool:
+        doc = self._buffer[i]
         if FIELD_SEP in term:
             fname, body = term.split(FIELD_SEP, 1)
             for col, f, analyzed in self.extra_fields:
@@ -89,35 +108,51 @@ class IndexWriter:
                     if v is None:
                         return False
                     if analyzed is True:
-                        return body in analyze(str(v))[0]
+                        return body in self._terms_of(i, col, v)
                     return str(v) == body
             return False
-        return term in analyze(str(doc.get("text", "")))[0]
+        return term in self._terms_of(i, "text", doc.get("text", ""))
 
     def delete_documents(self, *terms: str) -> None:
-        """Tombstone every committed shard AND eagerly drop matching
-        buffered docs (docs added after this call are unaffected —
-        IndexWriter delete-queue ordering)."""
+        """Delete every doc added before this call that holds one of
+        ``terms`` (docs added after it are unaffected — IndexWriter
+        delete-queue ordering). Matching buffered docs are dropped now;
+        the terms are queued for the committed shards and written as one
+        tombstone generation per shard at the next commit, ``reader()``,
+        ``searcher()``, ``maybe_merge`` or ``force_merge``."""
+        self._pending_deletes.update(terms)
+        keep = [i for i in range(len(self._buffer))
+                if not any(self._buffered_doc_matches(i, t) for t in terms)]
+        self._buffer = [self._buffer[i] for i in keep]
+        self._buffer_terms = [self._buffer_terms[i] for i in keep]
+
+    def _flush_deletes(self) -> None:
+        """Write the pending delete terms as ONE tombstone-log generation
+        per committed shard (none when no shard is committed)."""
+        if not self._pending_deletes:
+            return
         from lucenenet_ray.index.deletes import delete_documents
 
+        terms = sorted(self._pending_deletes)
         for sh in self._m["shards"]:
-            delete_documents(sh["deletes"], list(terms))
-        self._buffer = [d for d in self._buffer
-                        if not any(self._buffered_doc_matches(d, t)
-                                   for t in terms)]
+            delete_documents(sh["deletes"], terms)
+        self._pending_deletes = set()
 
     def update_document(self, term: str, doc: dict[str, Any]) -> None:
         """Delete-by-term then add — last-writer-wins by key
-        (IndexWriter.UpdateDocument, IndexWriter.cs:1538-1556)."""
+        (IndexWriter.UpdateDocument, IndexWriter.cs:1538-1556). Atomic at
+        commit: the delete and the new doc reach disk together, unless a
+        reader or merge flushes the delete first."""
         self.delete_documents(term)
         self.add_document(doc)
 
     # -- commit (two-phase manifest swap, IndexWriter.cs:228) --------------
     def commit(self) -> int:
-        """Flush the buffer as a new shard index; returns the commit
-        generation. A no-op commit (empty buffer) returns the current
-        generation without writing."""
+        """Flush the pending deletes and the buffer (as a new shard index);
+        returns the commit generation. With an empty buffer only the
+        deletes are written, and the current generation is returned."""
         if not self._buffer:
+            self._flush_deletes()
             return self._m["gen"]
         import pyarrow as pa
         import ray.data as rd
@@ -153,10 +188,13 @@ class IndexWriter:
             build_docstore(rd.from_arrow(t), dpath,
                            columns=list(self.stored_fields))
             entry["docstore"] = dpath
+        # before the append: the pending deletes were already applied to
+        # the buffered docs the new shard holds
+        self._flush_deletes()
         self._m["shards"].append(entry)
         self._m["next_id"] = hi + 1
         self._m["gen"] += 1
-        self._buffer = []
+        self._buffer, self._buffer_terms = [], []
         self._write_manifest()
         return self._m["gen"]
 
@@ -231,6 +269,7 @@ class IndexWriter:
     def maybe_merge(self, max_rounds: int = 10) -> int:
         """Cascading policy merges (IndexWriter.MaybeMerge); returns the
         number of merges applied."""
+        self._flush_deletes()
         total = 0
         for _ in range(max_rounds):
             spec = self.merge_policy.find_merges(self._metas())
@@ -242,6 +281,7 @@ class IndexWriter:
 
     def force_merge(self, max_segment_count: int = 1,
                     max_rounds: int = 10) -> int:
+        self._flush_deletes()
         total = 0
         for _ in range(max_rounds):
             spec = self.merge_policy.find_forced_merges(
@@ -258,13 +298,15 @@ class IndexWriter:
         return len(self._m["shards"])
 
     def reader(self):
-        """DirectoryReader.Open over the COMMITTED state: one federated
-        reader across the shards, each with its tombstone log."""
+        """DirectoryReader.Open over the COMMITTED shards: one federated
+        reader across them, each with its tombstone log. Pending deletes
+        are flushed first, so the reader hides them."""
         from lucenenet_ray.search.multi_reader import MultiIndexReader
         from lucenenet_ray.search.reader import IndexReader as _R
 
         if not self._m["shards"]:
             raise ValueError("no committed shards yet")
+        self._flush_deletes()
         return MultiIndexReader([
             _R(sh["path"], deletes_path=sh["deletes"])
             for sh in self._m["shards"]])

@@ -961,8 +961,10 @@ def finish_index(index_path: str, config: dict, rows: list[dict],
                  **extra) -> dict:
     """Fold the reducers' manifest rows into per-bucket stats, write global
     termstats and an atomic manifest.json; returns the manifest. ``config``
-    is recorded with the postings layout (``codec``); ``extra`` entries
-    (e.g. a merge's ``id_ranges``) are added to the manifest."""
+    is recorded with the postings layout (``codec``) and without
+    ``index_path``, so an index's bytes do not depend on where it is
+    written; ``extra`` entries (e.g. a merge's ``id_ranges``) are added to
+    the manifest."""
     by_bucket: dict[int, dict] = {}
     for r in rows:
         b = int(r["bucket"])
@@ -980,7 +982,8 @@ def finish_index(index_path: str, config: dict, rows: list[dict],
 
     manifest = {
         "format_version": 1,
-        "config": config | {"codec": FORMAT},
+        "config": {k: v for k, v in config.items() if k != "index_path"}
+        | {"codec": FORMAT},
         "n_docs": sum(r["n_docs"] for r in buckets),
         "sum_total_term_freq": sum(r["sum_len"] for r in buckets),
         **extra,

@@ -528,19 +528,28 @@ def decode_docs_freqs(doc_bytes: bytes, freq_bytes: bytes, n: int,
     return np.cumsum(deltas.astype(np.int64)), freqs.astype(np.int32)
 
 
-def decode_positions(pos_bytes: bytes, freqs: np.ndarray) -> list[np.ndarray]:
-    """Decode per-doc positions (delta-encoded per doc) → list of arrays:
-    one segmented cumsum over every doc's run, then split per doc."""
+def decode_vint_runs(buf: bytes, freqs: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Decode per-doc VInt delta runs (positions, or the payloads parallel
+    to them: ``freqs[i]`` values for doc i, each run delta-coded from 0) →
+    (flat absolute values int64, per-doc offsets of ``len(freqs) + 1``):
+    one VInt decode and one segmented cumsum over every doc's run."""
     freqs = np.asarray(freqs, dtype=np.int64)
-    if freqs.size == 0:
-        return []
-    offs = np.cumsum(freqs)
-    deltas = read_vints(np.frombuffer(pos_bytes, dtype=np.uint8),
+    offs = np.zeros(freqs.size + 1, dtype=np.int64)
+    np.cumsum(freqs, out=offs[1:])
+    deltas = read_vints(np.frombuffer(buf, dtype=np.uint8),
                         int(offs[-1])).astype(np.int64)
     c = np.cumsum(deltas)
     nonempty = freqs > 0
-    base = (c - deltas)[(offs - freqs)[nonempty]]
-    return np.split(c - np.repeat(base, freqs[nonempty]), offs[:-1])
+    starts = offs[:-1][nonempty]
+    return c - np.repeat(c[starts] - deltas[starts], freqs[nonempty]), offs
+
+
+def decode_positions(pos_bytes: bytes, freqs: np.ndarray) -> list[np.ndarray]:
+    """Decode per-doc positions (delta-encoded per doc) → one array per
+    doc: ``decode_vint_runs``, then split."""
+    flat, offs = decode_vint_runs(pos_bytes, freqs)
+    return [flat[a:b] for a, b in zip(offs[:-1].tolist(), offs[1:].tolist())]
 
 
 def decode_doc_block(

@@ -15,9 +15,12 @@ and every ``IndexWriter`` merge drop dead docs inside ``merge_indexes``
 
 Log layout: ``<deletes_dir>/del-<generation>.parquet`` with a single ``term``
 column; generations are monotone, a reader unions all generations. The log is
-append-only and tiny (one row per deleted term), so re-reading it on refresh
-is free; per-bucket live masks are resolved once per (bucket, log state) and
-cached (the BufferedUpdatesStream "applyDeletes on reader open" path).
+append-only, but not free to re-read: every ``IndexReader`` opens and reads
+each generation file (``load_deleted_terms``), so a reopen's cost grows with
+the generation count. ``api.IndexWriter`` therefore buffers its delete terms
+and writes one generation per shard per flush (commit, reader open, merge).
+Per-bucket live masks are resolved once per (bucket, log state) and cached
+(the BufferedUpdatesStream "applyDeletes on reader open" path).
 """
 
 from __future__ import annotations

@@ -208,7 +208,6 @@ def merge_indexes(sources: list, out_path: str) -> dict:
     # merged index's buckets keep the sources' numbering (every source
     # shares n_buckets), NOT recomputed from this range.
     config = cfg0 | {
-        "index_path": out_path,
         "id_min": min(m["config"]["id_min"] for m in manifests),
         "id_max": max(m["config"]["id_max"] for m in manifests),
         "store_term_vectors": False,

@@ -26,7 +26,7 @@ from lucenenet_ray.index.build import postings_file_name, term_hpart
 from lucenenet_ray.index.codec import (
     check_manifest,
     decode_docs_freqs,
-    read_vints,
+    decode_vint_runs,
 )
 
 
@@ -191,16 +191,8 @@ class PostingsChunk:
     def positions_flat(self) -> tuple[np.ndarray, np.ndarray]:
         """(flat absolute positions, per-doc offsets) — cached, vectorized."""
         if self._pos_flat is None:
-            freqs = self.freqs().astype(np.int64)
-            offs = np.concatenate(([0], np.cumsum(freqs)))
-            deltas = read_vints(
-                np.frombuffer(self.pos_bytes, dtype=np.uint8), int(offs[-1])
-            ).astype(np.int64)
-            c = np.cumsum(deltas)
-            starts = offs[:-1][freqs > 0]
-            base = c[starts] - deltas[starts]
-            self._pos_flat = c - np.repeat(base, freqs[freqs > 0])
-            self._pos_offs = offs
+            self._pos_flat, self._pos_offs = decode_vint_runs(
+                self.pos_bytes, self.freqs())
         return self._pos_flat, self._pos_offs
 
     def positions(self) -> list[np.ndarray]:
@@ -212,21 +204,13 @@ class PostingsChunk:
     def payloads_flat(self) -> tuple[np.ndarray, np.ndarray]:
         """(flat absolute payload values, per-doc offsets) — payloads are
         VInt delta runs parallel to positions (one value per position; see
-        IndexConfig.payloads), decoded with the same segmented cumsum."""
+        IndexConfig.payloads), decoded like them."""
         if self._pay_flat is None:
             if not self.pay_bytes:
                 raise ValueError(
                     f"term {self.term!r}: index has no payload stream")
-            freqs = self.freqs().astype(np.int64)
-            offs = np.concatenate(([0], np.cumsum(freqs)))
-            deltas = read_vints(
-                np.frombuffer(self.pay_bytes, dtype=np.uint8), int(offs[-1])
-            ).astype(np.int64)
-            c = np.cumsum(deltas)
-            starts = offs[:-1][freqs > 0]
-            base = c[starts] - deltas[starts]
-            self._pay_flat = c - np.repeat(base, freqs[freqs > 0])
-            self._pos_offs = offs
+            self._pay_flat, self._pos_offs = decode_vint_runs(
+                self.pay_bytes, self.freqs())
         return self._pay_flat, self._pos_offs
 
 

@@ -169,3 +169,142 @@ def test_force_merge_drops_fully_deleted_source(ray_session, tmp_path):
     shards = os.listdir(os.path.join(root, "shards"))
     assert not [d for d in shards if d.startswith(".exp_")]
     assert os.path.basename(w._m["shards"][0]["path"]).startswith("merged_")
+
+
+def _del_files(deletes_dir):
+    import glob
+    import os
+
+    return sorted(glob.glob(os.path.join(deletes_dir, "del-*.parquet")))
+
+
+def test_buffered_deletes_write_one_generation_per_shard(ray_session,
+                                                         tmp_path):
+    """Deletes and updates between two commits reach each committed shard
+    as ONE tombstone generation; the new shard gets none."""
+    from lucenenet_ray.api import IndexSearcher, IndexWriter
+
+    w = IndexWriter(str(tmp_path / "w"), n_buckets=2,
+                    extra_fields=(("key", "key", False),))
+    for i in range(2):
+        w.add_documents([{"text": f"alpha s{i} d{j}", "key": f"k{i}{j}"}
+                         for j in range(3)])
+        w.commit()
+    for k in ("k00", "k11", "k12"):
+        w.delete_documents(field_term("key", k))
+    for k in ("k01", "k10"):
+        w.update_document(field_term("key", k),
+                          {"text": f"beta {k}", "key": k})
+    old = list(w._m["shards"])
+    assert all(not _del_files(sh["deletes"]) for sh in old)  # buffered
+    w.commit()
+    assert [len(_del_files(sh["deletes"])) for sh in old] == [1, 1]
+    assert not _del_files(w._m["shards"][-1]["deletes"])
+
+    s = IndexSearcher(w.reader())
+    assert sorted(s.search("alpha", n=20).docs.tolist()) == [2]
+    assert sorted(s.search("beta", n=20).docs.tolist()) == [6, 7]
+
+
+def test_pending_delete_is_hidden_by_reader_before_commit(ray_session,
+                                                          tmp_path):
+    from lucenenet_ray.api import IndexSearcher, IndexWriter
+
+    w = IndexWriter(str(tmp_path / "w"), n_buckets=2)
+    w.add_documents(_docs(["gone alpha", "keep alpha"]))
+    w.commit()
+    w.delete_documents("gone")
+    assert not _del_files(w._m["shards"][0]["deletes"])
+    td = IndexSearcher(w.reader()).search("alpha", n=10)
+    assert td.docs.tolist() == [1]
+    assert len(_del_files(w._m["shards"][0]["deletes"])) == 1
+
+
+def test_pending_delete_is_applied_by_force_merge(ray_session, tmp_path):
+    """A delete followed directly by a merge (no commit, no reader) is
+    flushed first, so the merge drops the doc and reclaims its stats."""
+    from lucenenet_ray.api import IndexSearcher, IndexWriter
+
+    w = IndexWriter(str(tmp_path / "w"), n_buckets=2)
+    w.add_documents(_docs(["gone alpha", "keep alpha"]))
+    w.commit()
+    w.add_documents(_docs(["keep beta", "gone beta"]))
+    w.commit()
+    w.delete_documents("gone")
+    w.force_merge(1)
+    assert w.num_shards == 1
+    r = w.reader()
+    assert r.num_docs == 2
+    assert sorted(IndexSearcher(r).search("keep", n=10).docs.tolist()) == [1, 2]
+    assert IndexSearcher(r).search("gone", n=10).total_hits == 0
+
+
+def test_update_without_commit_leaves_old_doc_live(ray_session, tmp_path):
+    """update_document is atomic at commit: a writer dropped after the
+    update, before commit, leaves neither its delete nor its add."""
+    from lucenenet_ray.api import IndexSearcher, IndexWriter
+
+    root = str(tmp_path / "w")
+    kw = {"n_buckets": 2, "extra_fields": (("key", "key", False),)}
+    w = IndexWriter(root, **kw)
+    w.add_documents([{"text": "old alpha", "key": "k1"},
+                     {"text": "other beta", "key": "k2"}])
+    w.commit()
+    w.update_document(field_term("key", "k1"),
+                      {"text": "new alpha", "key": "k1"})
+    del w
+
+    s = IndexSearcher(IndexWriter(root, **kw).reader())
+    assert s.search(TermQuery(term=field_term("key", "k1")),
+                    n=10).docs.tolist() == [0]
+    assert s.search("old", n=10).docs.tolist() == [0]
+    assert s.search("new", n=10).total_hits == 0
+
+
+def test_buffered_delete_check_analyzes_each_doc_once(monkeypatch, tmp_path):
+    """Deletes against buffered docs analyze each doc's analyzed columns at
+    most once, however many delete calls follow."""
+    import lucenenet_ray.analysis as analysis
+    from lucenenet_ray.api import IndexWriter
+
+    calls = []
+    real = analysis.analyze
+
+    def counted(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(analysis, "analyze", counted)
+    w = IndexWriter(str(tmp_path / "w"),
+                    extra_fields=(("title", "title", True),
+                                  ("key", "key", False)))
+    w.add_documents([{"text": f"body{i} common", "title": f"Head{i} Line",
+                      "key": f"k{i}"} for i in range(6)])
+    for i in range(4):
+        w.delete_documents(f"nomatch{i}", field_term("title", f"nothere{i}"),
+                           field_term("key", f"x{i}"))
+    assert len(calls) == 12  # 6 docs × (text, title), not × 4 calls
+    w.delete_documents("body1", field_term("title", "head2"),
+                       field_term("key", "k3"))
+    assert [d["key"] for d in w._buffer] == ["k0", "k4", "k5"]
+    assert len(calls) == 12
+
+
+def test_shard_bytes_do_not_depend_on_writer_root(ray_session, tmp_path):
+    """The same docs committed under roots of different path length give
+    shard dirs of equal byte totals: no manifest records its own path."""
+    import os
+
+    from lucenenet_ray.api import IndexWriter
+    from lucenenet_ray.index.merge_policy import _dir_bytes
+
+    totals = []
+    for root in (tmp_path / "a", tmp_path / "a_much_longer_writer_root"):
+        w = IndexWriter(str(root), n_buckets=2)
+        w.add_documents(_docs(["alpha beta", "beta gamma", "gamma delta"]))
+        w.commit()
+        shard = w._m["shards"][0]["path"]
+        with open(os.path.join(shard, "manifest.json")) as f:
+            assert str(root) not in f.read()
+        totals.append(_dir_bytes(shard))
+    assert totals[0] == totals[1]

@@ -206,11 +206,11 @@ def test_merge_outputs_state_dropped_sidecars(ray_session, tmp_path):
 
     ddir = str(tmp_path / "dels")
     delete_documents(ddir, ["t1"])
-    outs = [merge_indexes([src], str(tmp_path / "merged")),
-            expunge_deletes(src, str(tmp_path / "exp"), deletes_path=ddir),
-            *split_index(src, str(tmp_path / "lo"), str(tmp_path / "hi"), 20)]
-    for m in outs:
-        out = m["config"]["index_path"]
+    paths = [str(tmp_path / d) for d in ("merged", "exp", "lo", "hi")]
+    outs = [merge_indexes([src], paths[0]),
+            expunge_deletes(src, paths[1], deletes_path=ddir),
+            *split_index(src, paths[2], paths[3], 20)]
+    for m, out in zip(outs, paths, strict=True):
         assert m["config"]["store_term_vectors"] is False
         assert m["dropped_sidecars"] == ["termvectors"]
         assert not os.path.exists(os.path.join(out, "termvectors"))

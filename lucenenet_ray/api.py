@@ -29,6 +29,14 @@ writer dropped before commit loses both. Docs are visible from commit on;
 a reader opened from the writer also hides the pending deletes, which it
 flushes first. SearcherManager-on-commits is the supported refresh model
 (index/commits.py).
+
+Each shard's term-hash partition count (``n_hparts``) is sized from its
+bytes by ``build.writer_hparts``: the buffered docs' indexed text for a
+commit, the source shards' bytes for a merge. A small shard has one
+postings file per bucket, as a Lucene segment has one terms file however
+small; a shard of gigabytes gets up to the 8 a build defaults to, so its
+reducer groups stay bounded. Shards of different hpart counts federate
+and merge as they are.
 """
 
 from __future__ import annotations
@@ -157,7 +165,11 @@ class IndexWriter:
         import pyarrow as pa
         import ray.data as rd
 
-        from lucenenet_ray.index.build import IndexConfig, build_index
+        from lucenenet_ray.index.build import (
+            IndexConfig,
+            build_index,
+            writer_hparts,
+        )
 
         lo = self._m["next_id"]
         hi = lo + len(self._buffer) - 1
@@ -169,15 +181,18 @@ class IndexWriter:
             for col, _f, _a in self.extra_fields:
                 row[col] = d.get(col)
             rows.append(row)
+        index_cols = ["doc_id", "text"] + [c for c, _f, _a in self.extra_fields]
+        nbytes = sum(len(str(r[c]).encode("utf-8")) for r in rows
+                     for c in index_cols[1:] if r[c] is not None)
         cfg = IndexConfig(index_path=path, id_min=lo, id_max=max(hi, lo),
                           n_buckets=self.n_buckets,
+                          n_hparts=writer_hparts(nbytes, self.n_buckets),
                           extra_fields=self.extra_fields)
         if self.stored_fields:
             for r, d in zip(rows, self._buffer):
                 for c in self.stored_fields:
                     r.setdefault(c, d.get(c))
         t = pa.Table.from_pylist(rows)
-        index_cols = ["doc_id", "text"] + [c for c, _f, _a in self.extra_fields]
         build_index(rd.from_arrow(t.select(index_cols)), cfg)
         entry = {"path": path,
                  "deletes": os.path.join(self.root, "deletes", name)}
@@ -213,7 +228,9 @@ class IndexWriter:
         reference's merge-reclaims-deletes behavior. A group whose every
         doc is deleted leaves no shard. Old shard dirs are left on disk (an
         IndexFileDeleter-style GC of unreferenced dirs is the caller's
-        concern)."""
+        concern). The merged shard's hparts are sized from the sources'
+        bytes."""
+        from lucenenet_ray.index.build import writer_hparts
         from lucenenet_ray.index.merge_indexes import merge_indexes
 
         applied = 0
@@ -223,8 +240,10 @@ class IndexWriter:
             name = f"merged_{self._m['gen']:06d}_{applied}"
             out = os.path.join(self.root, "shards", name)
             by_path = {sh["path"]: sh for sh in self._m["shards"]}
-            m = merge_indexes([(s.path, by_path[s.path]["deletes"])
-                               for s in group], out)
+            m = merge_indexes(
+                [(s.path, by_path[s.path]["deletes"]) for s in group], out,
+                n_hparts=writer_hparts(sum(s.bytes for s in group),
+                                       self.n_buckets))
             merged_set = {s.path for s in group}
             src_stores = [sh.get("docstore") for sh in self._m["shards"]
                           if sh["path"] in merged_set and sh.get("docstore")]

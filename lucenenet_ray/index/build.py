@@ -64,7 +64,11 @@ class IndexConfig:
     id_min: int
     id_max: int
     n_buckets: int = 16
-    n_hparts: int = 8  # term-hash salt slices per bucket for the merge shuffle
+    # term-hash salt slices per bucket: one postings file and one reducer
+    # group per (bucket, hpart). They bound reducer memory only (a lookup
+    # reads one row group of a term-sorted file, whatever the count);
+    # ``api.IndexWriter`` sizes them per shard with ``writer_hparts``
+    n_hparts: int = 8
     store_positions: bool = True
     batch_size: int = 2048
     # when set, per-document analyzer dispatch on this column (per-language
@@ -782,6 +786,25 @@ SPLIT_GROUP = 8
 SPLIT_CPUS = 0.5
 
 
+# the reducer-group size ``writer_hparts`` aims for: a group's bytes stay
+# at most this (docs/SCALE.md bounds a reducer at ~10^8 bytes of partials)
+WRITER_GROUP_BYTES = 64 << 20
+# the most hparts a writer shard gets (the layout it had before sizing)
+WRITER_MAX_HPARTS = 8
+
+
+def writer_hparts(nbytes: int, n_buckets: int) -> int:
+    """The hpart count of an ``IndexWriter`` shard of ``nbytes`` input
+    bytes: the smallest power of two that keeps ``nbytes / (n_buckets ×
+    n_hparts)`` at most ``WRITER_GROUP_BYTES``, clamped to [1,
+    ``WRITER_MAX_HPARTS``]. Small commits and merges get one postings file
+    per bucket, as a Lucene segment keeps one terms file however small."""
+    h = 1
+    while h < WRITER_MAX_HPARTS and nbytes > n_buckets * h * WRITER_GROUP_BYTES:
+        h *= 2
+    return h
+
+
 def _hash_shuffle_merge_write(block_refs, cfg: IndexConfig,
                               store_pos: bool) -> list[dict]:
     """Raw-Ray map-reduce hash exchange, STREAMED against the map stage.
@@ -813,7 +836,10 @@ def _hash_shuffle_merge_write(block_refs, cfg: IndexConfig,
     (n_buckets × n_hparts) + one term-chunk. To run at 100× the corpus,
     raise ``n_buckets`` (and/or ``n_hparts``) proportionally; the reduce-task
     count follows the cluster (max(128, 4 × cluster CPUs)). Output bytes are
-    invariant to both.
+    invariant to the reduce-task count. Hparts bound reducer memory only:
+    reads route a term to its row group by the file's min/max statistics, so
+    more hparts mean more files, not smaller reads. The writer sizes them
+    from a shard's bytes (``writer_hparts``).
     """
     import ray
 

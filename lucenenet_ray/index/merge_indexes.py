@@ -1,15 +1,17 @@
 """Index merge: the AddIndexes analog for already-encoded indexes.
 
 ``merge_indexes`` is the ``IndexWriter.AddIndexes(Directory[])`` analog
-(SURVEY §2.1): it combines several complete indexes (same bucket/hpart
-layout, disjoint docID sets) into one by re-running the build's salted
+(SURVEY §2.1): it combines several complete indexes (same bucket layout,
+disjoint docID sets) into one by re-running the build's salted
 exchange. Each source bucket's postings chunks turn back into the
 Inverter's shuffle-wire rows (docs, freqs, per-doc norms from the bucket's
 norms file, position/payload runs passed through unchanged), plus one
 doc-length sentinel row per bucket; ``build._hash_shuffle_merge_write``
 feeds them to the build's own ``_merge_write_group`` reducer, and the build's
 termstats + manifest tail finishes the index. A merged index is therefore
-byte-identical to the direct build of the same documents.
+byte-identical to the direct build of the same documents. Each term's
+hpart is recomputed for the output, so sources may differ in ``n_hparts``
+when the caller names the output's.
 
 A source may name dead docs (a tombstone log, or docID sets per bucket);
 its bucket tasks drop them from the wire rows. That is the one postings
@@ -174,10 +176,15 @@ def _merge_ranges(ranges: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def merge_indexes(sources: list, out_path: str) -> dict:
+def merge_indexes(sources: list, out_path: str,
+                  n_hparts: int | None = None) -> dict:
     """Combine complete same-layout indexes into one (AddIndexes analog):
     one task per source bucket re-derives its wire rows, then the build's
     exchange, reducer and termstats/manifest tail write ``out_path``.
+
+    ``n_hparts`` is the output's hpart count. ``None`` keeps the sources'
+    shared layout and refuses sources that differ in it; an int lets them
+    differ in ``n_hparts`` only (each term's output hpart is recomputed).
 
     A source is an index path, or a ``(path, dead)`` pair whose dead docs
     the merge drops — ``AddIndexes`` over readers with liveDocs. ``dead`` is
@@ -197,8 +204,12 @@ def merge_indexes(sources: list, out_path: str) -> dict:
         index_paths.append(p)
         deads.append(dead)
     cfg0 = manifests[0]["config"]
+    layout_keys = _LAYOUT_KEYS
+    if n_hparts is not None:
+        cfg0 = cfg0 | {"n_hparts": n_hparts}
+        layout_keys = tuple(k for k in _LAYOUT_KEYS if k != "n_hparts")
     for m in manifests[1:]:
-        for k in _LAYOUT_KEYS:
+        for k in layout_keys:
             if m["config"].get(k) != cfg0.get(k):
                 raise ValueError(f"sources differ in {k}; cannot merge")
 

@@ -217,25 +217,20 @@ class PostingsChunk:
 class BucketData:
     """All loaded state for one doc-range bucket."""
 
-    def __init__(self, bucket_id: int, norms_path: str, postings_glob: str,
-                 n_hparts: int, docvalues_path: str | None = None,
+    def __init__(self, bucket_id: int, norms_path: str,
+                 hpart_files: dict[int, str], n_hparts: int,
+                 docvalues_path: str | None = None,
                  bloom_path: str | None = None):
-        import glob as _glob
-
         self.bucket_id = bucket_id
         self.norms_path = norms_path
         self.docvalues_path = docvalues_path
         self.bloom_path = bloom_path
         self._bloom_cached: object = False  # False = not loaded yet
-        # a term's chunk lives in its hpart's file only
+        # a term's chunk lives in its hpart's file only (hpart → path, the
+        # files present; IndexReader lists the postings dir once for all)
         self.n_hparts = n_hparts
-        by_name = {postings_file_name(bucket_id, h): h
-                   for h in range(n_hparts)}
-        self._hpart_file: dict[int, str] = {
-            by_name[os.path.basename(f)]: f
-            for f in _glob.glob(postings_glob)
-            if os.path.basename(f) in by_name}
-        self.postings_files = sorted(self._hpart_file.values())
+        self._hpart_file = hpart_files
+        self.postings_files = sorted(hpart_files.values())
         self._norms: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._dicts: dict[str, TermDict] = {}
         self._chunk_cache: dict[str, PostingsChunk | None] = {}
@@ -489,6 +484,7 @@ class IndexReader:
             load_dvb_updates(self.dv_updates_path))
         self._dv_resolved: dict[tuple[int, str], tuple] = {}
         self._dvb_resolved: dict[tuple[int, str], tuple] = {}
+        self._postings_by_bucket: dict[int, dict[int, str]] | None = None
         self._version = self._stamp()
 
     def _stamp(self) -> tuple:
@@ -547,13 +543,30 @@ class IndexReader:
     def bucket_ids(self) -> list[int]:
         return [b["bucket"] for b in self.manifest["buckets"]]
 
+    def _hpart_files(self, bucket_id: int) -> dict[int, str]:
+        """hpart → postings file of one bucket, from ONE listing of the
+        postings dir per reader (files of no (bucket, hpart) of this
+        manifest's layout are ignored)."""
+        if self._postings_by_bucket is None:
+            n_hparts = self.manifest["config"]["n_hparts"]
+            slot = {postings_file_name(b, h): (b, h)
+                    for b in self.bucket_ids for h in range(n_hparts)}
+            pdir = os.path.join(self.index_path, "postings")
+            self._postings_by_bucket = {}
+            for name in (os.listdir(pdir) if os.path.isdir(pdir) else ()):
+                if name in slot:
+                    b, h = slot[name]
+                    self._postings_by_bucket.setdefault(b, {})[h] = \
+                        os.path.join(pdir, name)
+        return self._postings_by_bucket.get(bucket_id, {})
+
     def bucket(self, bucket_id: int) -> BucketData:
         bd = self._buckets.get(bucket_id)
         if bd is None:
             bd = BucketData(
                 bucket_id,
                 os.path.join(self.index_path, "norms", f"bucket={bucket_id:05d}.parquet"),
-                os.path.join(self.index_path, "postings", f"bucket={bucket_id:05d}*.parquet"),
+                self._hpart_files(bucket_id),
                 self.manifest["config"]["n_hparts"],
                 docvalues_path=os.path.join(
                     self.index_path, "docvalues", f"bucket={bucket_id:05d}.parquet"),

@@ -308,3 +308,109 @@ def test_shard_bytes_do_not_depend_on_writer_root(ray_session, tmp_path):
             assert str(root) not in f.read()
         totals.append(_dir_bytes(shard))
     assert totals[0] == totals[1]
+
+
+def test_writer_hparts_sizing():
+    """Powers of two in [1, 8], monotone in the bytes: 1 for small
+    inputs, 8 from n_buckets × 8 × the group size on."""
+    from lucenenet_ray.index.build import WRITER_GROUP_BYTES as G
+    from lucenenet_ray.index.build import writer_hparts
+
+    for nb in (1, 4, 8):
+        for small in (0, 1, 50 * 300, nb * G):
+            assert writer_hparts(small, nb) == 1
+        assert writer_hparts(nb * G + 1, nb) == 2
+        assert writer_hparts(nb * 4 * G, nb) == 4
+        sizes = [0] + [int(nb * G * 2 ** (e / 4)) for e in range(-8, 24)]
+        got = [writer_hparts(n, nb) for n in sizes]
+        assert all(h in (1, 2, 4, 8) for h in got)
+        assert got == sorted(got)
+        for n in (nb * 8 * G, nb * 8 * G + 1, nb * 1000 * G):
+            assert writer_hparts(n, nb) == 8
+
+
+def _postings_files(shard):
+    import os
+
+    return sorted(os.listdir(os.path.join(shard, "postings")))
+
+
+def test_small_commit_writes_one_postings_file_per_bucket(ray_session,
+                                                          tmp_path):
+    import json
+    import os
+
+    from lucenenet_ray.api import IndexWriter
+
+    w = IndexWriter(str(tmp_path / "w"), n_buckets=4)
+    w.add_documents(_docs([f"common word{i} w{i % 7}" for i in range(50)]))
+    w.commit()
+    shard = w._m["shards"][0]["path"]
+    with open(os.path.join(shard, "manifest.json")) as f:
+        m = json.load(f)
+    assert m["config"]["n_hparts"] == 1 and len(m["buckets"]) == 4
+    assert _postings_files(shard) == [
+        f"bucket={b:05d}_h00.parquet" for b in range(4)]
+
+
+def test_mixed_hpart_shards_search_and_merge_like_one_build(
+        ray_session, tmp_path, monkeypatch):
+    """A writer holding an 8-hpart shard and a 1-hpart shard answers the
+    same TopDocs before and after force_merge, bit-identical to one direct
+    build of the same docs."""
+    import json
+    import os
+
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from conftest import SF_DIR
+    from lucenenet_ray.api import IndexSearcher, IndexWriter
+    from lucenenet_ray.index import build
+    from lucenenet_ray.index.build import IndexConfig, build_index
+    from lucenenet_ray.search.reader import IndexReader
+
+    texts = pq.read_table(os.path.join(SF_DIR, "documents.parquet"),
+                          columns=["text"]).column("text").to_pylist()[:120]
+    w = IndexWriter(str(tmp_path / "w"), n_buckets=4)
+    w.add_documents(_docs(texts[:70]))
+    with monkeypatch.context() as mp:  # a tiny group size forces 8 hparts
+        mp.setattr(build, "WRITER_GROUP_BYTES", 1)
+        w.commit()
+    w.add_documents(_docs(texts[70:]))
+    w.commit()
+
+    def hparts():
+        out = []
+        for sh in w._m["shards"]:
+            with open(os.path.join(sh["path"], "manifest.json")) as f:
+                out.append(json.load(f)["config"]["n_hparts"])
+        return out
+
+    assert hparts() == [8, 1]
+    assert len(_postings_files(w._m["shards"][0]["path"])) == 32
+
+    direct = str(tmp_path / "direct")
+    build_index(rd.from_arrow(pa.table({
+        "doc_id": pa.array(range(len(texts)), type=pa.int64()),
+        "text": texts})),
+        IndexConfig(index_path=direct, id_min=0, id_max=len(texts) - 1,
+                    n_buckets=4))
+    want = IndexSearcher(IndexReader(direct))
+    queries = ["spark window", '"batch merge"', "data", "vector AND dup",
+               "sp*", "merge -window"]
+
+    def check(s):
+        for q in queries:
+            a, b = want.search(q, n=10), s.search(q, n=10)
+            assert np.array_equal(a.docs, b.docs), q
+            assert a.scores.dtype == b.scores.dtype
+            assert a.scores.tobytes() == b.scores.tobytes(), q
+            assert a.total_hits == b.total_hits, q
+
+    check(w.searcher())
+    assert w.force_merge(1) == 1
+    assert hparts() == [1]
+    check(w.searcher())

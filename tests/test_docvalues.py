@@ -276,8 +276,7 @@ def test_docvalues_load_without_read_schema(tmp_path, monkeypatch):
         raise AssertionError("pq.read_schema called")
 
     monkeypatch.setattr(pq, "read_schema", no_schema)
-    bd = BucketData(0, norms, str(tmp_path / "no-postings*.parquet"), 1,
-                    docvalues_path=dv)
+    bd = BucketData(0, norms, {}, 1, docvalues_path=dv)
     assert bd.docvalues("n").tolist() == [0, 50, 90]
     assert bd.binary_docvalues("head").tolist() == [b"", b"five", b"nine"]
     assert bd.docvalues("absent").tolist() == [0, 0, 0]

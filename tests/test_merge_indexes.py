@@ -126,6 +126,31 @@ def test_merged_bytes_equal_direct_build(ray_session, tmp_path):
     assert m["sum_total_term_freq"] == d["sum_total_term_freq"]
 
 
+def test_merge_of_mixed_hparts_equals_direct_build(ray_session, tmp_path):
+    """Sources built at 1 and 4 hparts merged into 2 hparts = the direct
+    2-hpart build of the same docs: same postings and norms bytes, same
+    termstats."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from bench import index_digest
+    from conftest import SF_DIR
+    from lucenenet_ray.index.merge_indexes import merge_indexes
+
+    ds = rd.read_parquet(os.path.join(SF_DIR, "documents.parquet"),
+                         columns=["doc_id", "text"])
+    direct = _build(ds, str(tmp_path / "direct"), n_hparts=2)
+    shards = [_build(ds.filter(lambda r, k=k: (r["doc_id"] % 3 == 0) == k),
+                     str(tmp_path / f"shard{h}"), n_hparts=h)
+              for k, h in ((True, 1), (False, 4))]
+    merged = str(tmp_path / "merged")
+    m = merge_indexes(shards, merged, n_hparts=2)
+    assert m["config"]["n_hparts"] == 2
+    assert index_digest(merged) == index_digest(direct)
+    assert pq.read_table(os.path.join(merged, "termstats")).equals(
+        pq.read_table(os.path.join(direct, "termstats")))
+
+
 @pytest.mark.parametrize("key,value", [("n_buckets", 2), ("n_hparts", 4),
                                        ("store_positions", False)])
 def test_merge_rejects_mismatched_layouts(ray_session, tmp_path, key, value):

@@ -198,3 +198,35 @@ def test_merge_group_encodes_the_group_in_one_call(monkeypatch):
         for k in ("block_last_doc", "block_doc_off", "block_freq_off",
                   "block_max_freq", "block_max_norm", "skip1_last_doc"):
             assert row[k] == enc[k].tolist(), (term, k)
+
+
+def test_reader_lists_the_postings_dir_once(hpart_index, monkeypatch):
+    """An IndexReader lists its postings dir once and hands each bucket its
+    hpart → file map: no per-bucket glob."""
+    import glob
+
+    from lucenenet_ray.index.build import postings_file_name
+    from lucenenet_ray.search.reader import IndexReader
+
+    pdir = os.path.join(hpart_index, "postings")
+    listings, globs = [], []
+    real_listdir, real_glob = os.listdir, glob.glob
+
+    def listdir(path="."):
+        listings.append(os.path.normpath(str(path)))
+        return real_listdir(path)
+
+    def globbing(pattern, *a, **kw):
+        globs.append(str(pattern))
+        return real_glob(pattern, *a, **kw)
+
+    monkeypatch.setattr(os, "listdir", listdir)
+    monkeypatch.setattr(glob, "glob", globbing)
+    r = IndexReader(hpart_index)
+    assert len(r.bucket_ids) == 4
+    for b in r.bucket_ids:
+        assert r.bucket(b).postings_files == [
+            os.path.join(pdir, postings_file_name(b, h)) for h in range(4)]
+        assert "spark" in r.bucket(b).chunks_for_terms(["spark"])
+    assert listings.count(pdir) == 1
+    assert not [g for g in globs if os.sep + "postings" + os.sep in g]

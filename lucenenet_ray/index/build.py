@@ -34,6 +34,7 @@ corpus produces identical bytes at any parallelism level (tested).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 import tempfile
@@ -805,6 +806,20 @@ def writer_hparts(nbytes: int, n_buckets: int) -> int:
     return h
 
 
+# the exchange bytes ``exchange_parts`` gives one reduce task: ~0.5 s of
+# reduce work at the measured reduce rate
+EXCHANGE_PART_BYTES = 2 << 20
+
+
+def exchange_parts(nbytes: int, n_groups: int, cpus: int) -> int:
+    """The reduce-task count of an exchange handed ``nbytes`` of wire rows:
+    one task per ``EXCHANGE_PART_BYTES``, clamped to [1, min(``n_groups``,
+    max(128, 4 × ``cpus``))]. The cap is the count a large stream gets;
+    a small input runs one reducer and starts no extra Ray workers."""
+    cap = min(n_groups, max(128, 4 * cpus))
+    return max(1, min(cap, -(-nbytes // EXCHANGE_PART_BYTES)))
+
+
 def _hash_shuffle_merge_write(block_refs, cfg: IndexConfig,
                               store_pos: bool) -> list[dict]:
     """Raw-Ray map-reduce hash exchange, STREAMED against the map stage.
@@ -835,7 +850,10 @@ def _hash_shuffle_merge_write(block_refs, cfg: IndexConfig,
     uniformly over ALL buckets: max group bytes ≤ corpus_postings_bytes /
     (n_buckets × n_hparts) + one term-chunk. To run at 100× the corpus,
     raise ``n_buckets`` (and/or ``n_hparts``) proportionally; the reduce-task
-    count follows the cluster (max(128, 4 × cluster CPUs)). Output bytes are
+    count follows the input: a stream that ends within one split group
+    (≤ ``SPLIT_GROUP`` blocks) gets ``exchange_parts`` of its blocks' object
+    bytes, so a small build runs one reducer; a longer stream gets the cap,
+    min(n_buckets × n_hparts, max(128, 4 × cluster CPUs)). Output bytes are
     invariant to the reduce-task count. Hparts bound reducer memory only:
     reads route a term to its row group by the file's min/max statistics, so
     more hparts mean more files, not smaller reads. The writer sizes them
@@ -843,13 +861,27 @@ def _hash_shuffle_merge_write(block_refs, cfg: IndexConfig,
     """
     import ray
 
-    # ≥ 128 reduce tasks: fine enough that reducer waves pack well at 32 CPUs
-    # (64 tasks = 2 ragged waves; zipf-skewed groups straggle), coarse enough
-    # that per-task overhead stays small at 8; 4 per CPU beyond that. Output
+    # A stream of more than SPLIT_GROUP blocks gets the cap: ≥ 128 reduce
+    # tasks, fine enough that reducer waves pack well at 32 CPUs (64 tasks =
+    # 2 ragged waves; zipf-skewed groups straggle), coarse enough that
+    # per-task overhead stays small at 8; 4 per CPU beyond that. A stream
+    # that ends within one split group is sized from its blocks' bytes, read
+    # from the object directory (the driver pulls no block; a task result
+    # small enough to be inlined has no entry there and counts 0). Output
     # bytes are independent of n_parts (files are written per exact
     # (bucket, hpart) group).
     cpus = int(ray.cluster_resources().get("CPU", 1))
-    n_parts = min(cfg.n_buckets * cfg.n_hparts, max(128, 4 * cpus))
+    n_groups = cfg.n_buckets * cfg.n_hparts
+    block_refs = iter(block_refs)
+    head = list(itertools.islice(block_refs, SPLIT_GROUP + 1))
+    if len(head) > SPLIT_GROUP:  # too long to size before the first split
+        n_parts = exchange_parts(1 << 62, n_groups, cpus)
+    else:
+        if head:
+            ray.wait(head, num_returns=len(head), fetch_local=False)
+        locs = ray.experimental.get_object_locations(head)
+        nbytes = sum(locs[r]["object_size"] or 0 for r in head if r in locs)
+        n_parts = exchange_parts(nbytes, n_groups, cpus)
 
     @ray.remote
     def split_block(n_parts_: int, *tables):
@@ -912,7 +944,7 @@ def _hash_shuffle_merge_write(block_refs, cfg: IndexConfig,
     split_refs: list = []
     raw_refs: list = []
     group: list = []
-    for bref in block_refs:
+    for bref in itertools.chain(head, block_refs):
         if n_parts == 1:
             raw_refs.append(bref)
             continue

@@ -17,6 +17,8 @@ The end-to-end path of the north star (SURVEY §3.1/§3.2 Ray equivalents):
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import os
 import shutil
 
@@ -287,26 +289,53 @@ def index_documents(
 _INDEX_CACHE: dict[str, str] = {}
 
 
+# the package root, and the parts of it whose source decides index bytes
+_PKG_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_ENGINE_SOURCES = ("index", "analysis", "extract",
+                   os.path.join("pipelines", "flagship.py"))
+
+
+@functools.lru_cache(maxsize=None)
+def engine_fingerprint(pkg_dir: str) -> str:
+    """A hash of the ``.py`` source under ``_ENGINE_SOURCES`` of the
+    package at ``pkg_dir`` (relative paths and bytes, in sorted order)."""
+    files = []
+    for src in _ENGINE_SOURCES:
+        top = os.path.join(pkg_dir, src)
+        if os.path.isfile(top):
+            files.append(top)
+        for dirpath, _dirs, names in os.walk(top):
+            files += [os.path.join(dirpath, n) for n in names
+                      if n.endswith(".py")]
+    h = hashlib.sha256()
+    for f in sorted(files):
+        h.update(os.path.relpath(f, pkg_dir).encode() + b"\0")
+        with open(f, "rb") as fh:
+            h.update(fh.read() + b"\0")
+    return h.hexdigest()[:12]
+
+
 def sf_cache_key(sf_dir: str, table: str = "documents") -> str:
     """Cache key for /tmp artifacts derived from an sf table: the sf name
     PLUS a (mtime, size) fingerprint of the source parquet, so a
     regenerated corpus (new driver seed, same path) never reuses stale
-    indexes/dictionaries."""
+    indexes/dictionaries, PLUS the engine's ``engine_fingerprint``, so an
+    index written by older engine code is never graded as this engine's."""
     key = os.path.basename(os.path.normpath(sf_dir))
+    engine = engine_fingerprint(_PKG_DIR)
     p = os.path.join(sf_dir, f"{table}.parquet")
     try:
         st = os.stat(p)
-        return f"{key}_{st.st_mtime_ns % (1 << 40):x}{st.st_size % (1 << 24):x}"
+        return (f"{key}_{st.st_mtime_ns % (1 << 40):x}"
+                f"{st.st_size % (1 << 24):x}_{engine}")
     except OSError:
-        return key
+        return f"{key}_{engine}"
 
 
 def documents_index_for(sf_dir: str, cache_root: str = "/tmp/lucenenet_ray_idx") -> str:
     """Build (once per process/sf) the documents index; returns index path."""
     key = sf_cache_key(sf_dir)
-    # v4: + physical termvectors/ sidecar — new cache dir so stale indexes
-    # from earlier rounds are never reused
-    path = os.path.join(cache_root, f"documents_v4_{key}")
+    path = os.path.join(cache_root, f"documents_{key}")
     if key not in _INDEX_CACHE:
         if not os.path.exists(os.path.join(path, "manifest.json")):
             index_documents(sf_dir, path)

@@ -242,6 +242,70 @@ def test_determinism_across_parallelism(ray_session, tmp_path, documents_index):
             ), f"{sub}/{fn} differs across execution shapes"
 
 
+def test_exchange_paths_write_equal_bytes(ray_session, tmp_path, monkeypatch):
+    """The exchange sized from its bytes (one block → one reducer, no
+    split) and the capped exchange (more than SPLIT_GROUP blocks → split
+    tasks and the full reducer count) write byte-identical postings and
+    norms for the same docs."""
+    import filecmp
+
+    import ray.data as rd
+
+    from lucenenet_ray.index import build
+    from lucenenet_ray.index.build import SPLIT_GROUP, IndexConfig, build_index
+
+    parts = []
+    rule = build.exchange_parts
+
+    def spy(nbytes, n_groups, cpus):
+        parts.append(rule(nbytes, n_groups, cpus))
+        return parts[-1]
+
+    monkeypatch.setattr(build, "exchange_parts", spy)
+    ds = rd.read_parquet("/root/testdata/sf0.001/documents.parquet",
+                         columns=["doc_id", "text", "source"])
+    paths = []
+    for name, shaped in (("one", ds.repartition(1)),
+                         ("many", ds.repartition(3 * SPLIT_GROUP))):
+        paths.append(str(tmp_path / name))
+        build_index(shaped, IndexConfig(
+            index_path=paths[-1], id_min=0, id_max=499, n_buckets=4,
+            batch_size=20,  # one map task per input block
+            extra_fields=(("source", "source", False),), payloads="offset"))
+    assert parts == [1, 4 * 8], parts  # sized path, then the capped path
+    for sub in ("postings", "norms"):
+        a_files = sorted(os.listdir(os.path.join(paths[0], sub)))
+        assert a_files == sorted(os.listdir(os.path.join(paths[1], sub)))
+        assert a_files
+        for fn in a_files:
+            assert filecmp.cmp(os.path.join(paths[0], sub, fn),
+                               os.path.join(paths[1], sub, fn),
+                               shallow=False), f"{sub}/{fn} differs"
+
+
+def test_exchange_parts_sizing():
+    """One reduce task per EXCHANGE_PART_BYTES, at least one, never more
+    than the groups or the cluster cap, monotone in the bytes."""
+    from lucenenet_ray.index.build import EXCHANGE_PART_BYTES as B
+    from lucenenet_ray.index.build import exchange_parts
+
+    assert exchange_parts(0, 128, 4) == 1  # an empty stream
+    assert exchange_parts(890_000, 128, 4) == 1  # build_zipf's wire bytes
+    assert exchange_parts(B, 128, 4) == 1
+    assert exchange_parts(B + 1, 128, 4) == 2
+    for cpus, cap in ((4, 128), (32, 128), (64, 256)):
+        assert exchange_parts(10**15, 4096, cpus) == cap
+        assert exchange_parts(cap * B, 4096, cpus) == cap
+        assert exchange_parts(cap * B + 1, 4096, cpus) == cap
+    for n_groups in (1, 4, 32, 128):
+        for cpus in (4, 32):
+            sizes = [0, 1] + [int(B * 2 ** (e / 2)) for e in range(-4, 40)]
+            got = [exchange_parts(n, n_groups, cpus) for n in sizes]
+            assert max(got) == n_groups
+            assert min(got) == 1
+            assert got == sorted(got)
+
+
 def test_dismax(reader, oracle):
     """DisjunctionMaxScorer: max + tie*(sum-max), float32."""
     from lucenenet_ray.search.query import DisjunctionMaxQuery

@@ -241,3 +241,46 @@ def test_query_registry_window_is_all_oracle_backed():
         assert name in window[:10], name
     # no dangling oracle
     assert all(q in qs for q in osql)
+
+
+def test_changed_engine_source_gives_new_cache_path(tmp_path, monkeypatch):
+    """A gate index is cached under a key that includes the engine's
+    source, so an index written by other engine code is never reused;
+    source outside the engine (here ``search/``) leaves the key alone."""
+    import shutil
+
+    from lucenenet_ray.pipelines import flagship
+
+    pkg = tmp_path / "lucenenet_ray"
+    for sub in ("index", "analysis", "extract", "search", "pipelines"):
+        shutil.copytree(os.path.join(flagship._PKG_DIR, sub), pkg / sub,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(flagship, "_PKG_DIR", str(pkg))
+    built = []
+
+    def fake_build(sf_dir, path):  # stands in for the index build
+        os.makedirs(path)
+        open(os.path.join(path, "manifest.json"), "w").close()
+        built.append(path)
+
+    monkeypatch.setattr(flagship, "index_documents", fake_build)
+    monkeypatch.setattr(flagship, "_INDEX_CACHE", {})
+
+    def cache_path():
+        flagship.engine_fingerprint.cache_clear()
+        return flagship.documents_index_for("/root/testdata/sf0.001",
+                                            cache_root=str(tmp_path / "c"))
+
+    base = cache_path()
+    assert cache_path() == base and built == [base]
+    with open(pkg / "search" / "searcher.py", "a") as f:
+        f.write("\n# not an engine source\n")
+    assert cache_path() == base
+    for src in ("index/build.py", "analysis/standard.py",
+                "extract/__init__.py", "pipelines/flagship.py"):
+        before = cache_path()
+        with open(pkg / src, "a") as f:
+            f.write("\n# changed\n")
+        assert cache_path() != before, src
+    assert len(built) == 5 and len(set(built)) == 5
+    flagship.engine_fingerprint.cache_clear()
